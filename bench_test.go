@@ -209,13 +209,11 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeans454 compares the similarity engines on the paper-sized
-// corpus: the map-based engine the reproduction started with, the
-// compiled (term-interned packed vector) engine, and the compiled
-// engine with the parallel kernels on. All three run the identical
-// CAFC-CH k-means refinement — same hub seeds, same randomness — so
-// the reported entropy/F must match across sub-benches while ns/op
-// shows the speedup.
+// BenchmarkKMeans454 times the compiled (term-interned packed vector)
+// engine on the paper-sized corpus, serial and with the parallel
+// kernels on. Both run the identical CAFC-CH k-means refinement — same
+// hub seeds, same randomness — so the reported entropy/F must match
+// across sub-benches while ns/op shows the speedup.
 func BenchmarkKMeans454(b *testing.B) {
 	env := benchEnvironment(b)
 	seeds := icafc.SelectHubClusters(env.Model, env.HubClusters, env.K, experiments.DefaultMinCard)
@@ -233,7 +231,6 @@ func BenchmarkKMeans454(b *testing.B) {
 			report(b, "CAFC-CH", metrics.Entropy(l), metrics.FMeasure(l))
 		}
 	}
-	b.Run("map-serial", run(env.Model.WithEngine(false), 1))
 	b.Run("compiled-serial", run(env.Model, 1))
 	b.Run("compiled-parallel", run(env.Model, 0))
 }

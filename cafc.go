@@ -263,27 +263,9 @@ func (c *Corpus) newClustering(res cluster.Result) *Clustering {
 	// build cost ~38% of publish CPU at paper scale.
 	acc := vector.NewAccumulator(0)
 	for cl := 0; cl < res.K; cl++ {
-		out.TopTerms = append(out.TopTerms, c.centroidTopTerms(members[cl], 5, acc))
+		out.TopTerms = append(out.TopTerms, c.model.CentroidTopTerms(members[cl], 5, acc))
 	}
 	return out
-}
-
-// centroidTopTerms returns the top PC terms of a member set's centroid,
-// through the model's compiled fast path when the engine is active (the
-// two are pinned bit-identical — same member-order weight sums, same
-// term-string tie-breaks). acc is optional scratch.
-func (c *Corpus) centroidTopTerms(members []int, n int, acc *vector.Accumulator) []string {
-	if len(members) == 0 {
-		return nil
-	}
-	if ts, ok := c.model.CentroidTopTerms(members, n, acc); ok {
-		return ts
-	}
-	vs := make([]vector.Vector, len(members))
-	for i, m := range members {
-		vs[i] = c.model.Pages[m].PC
-	}
-	return vector.Centroid(vs).TopTerms(n)
 }
 
 // ClusterC runs CAFC-C (Algorithm 1): k-means with random seeds and the

@@ -30,29 +30,9 @@ const serialCheckMax = 50000
 // assignment) still run: every exact kernel is O(iterations * n * k)
 // with full convergence, which at a million pages is hours of
 // single-kernel wall-clock for a number the smaller sizes already pin.
-// Above it the sweep records the kernels built for that regime — the
-// LSH candidate tier and mini-batch — whose contracts (self-recall,
-// per-pass reduction) do not need the exhaustive reference.
+// Above it the sweep records only mini-batch, whose self-recall check
+// does not need the exhaustive reference.
 const exactKernelMax = 200000
-
-// approxRecallFloor / approxReductionFloor are the tentpole's
-// acceptance contract, enforced as hard errors so CI smokes fail
-// loudly: at and above 5k pages every approx kernel must self-recall
-// >= 0.99, and at and above 20k the tuned configuration must cut
-// distance computations per assignment pass by at least 5x against the
-// exhaustive scan's n*k. The floor is on the per-pass number because
-// that is the kernel property the candidate tier controls; the *total*
-// ratio (also recorded) additionally depends on how many rounds each
-// trajectory happens to take before no point moves, which at k=8 can
-// swing it either way (at 50k the exhaustive run converges in 9 rounds
-// and the approx run takes 14, so a 5.5x per-pass saving lands at 3.5x
-// total).
-const (
-	approxRecallFloor    = 0.99
-	approxRecallMinN     = 5000
-	approxReductionFloor = 5.0
-	approxReductionMinN  = 20000
-)
 
 // scaleKernel is one kernel measurement at one corpus size.
 type scaleKernel struct {
@@ -66,19 +46,17 @@ type scaleKernel struct {
 	Reduction float64 `json:"distance_reduction"`
 	// PerIterReduction is the exhaustive per-pass cost (n*k) divided by
 	// this kernel's mean distance computations per assignment pass — the
-	// per-pass speedup curve the tentpole exists to record, independent
-	// of how many rounds each trajectory takes. 0 for the mini-batch
-	// kernel, whose sampled rounds make a per-pass mean meaningless.
+	// per-pass speedup curve, independent of how many rounds each
+	// trajectory takes. 0 for the mini-batch kernel, whose sampled
+	// rounds make a per-pass mean meaningless.
 	PerIterReduction float64 `json:"distance_reduction_per_iter,omitempty"`
-	// Recall is the self-consistency recall of an inexact kernel: the
-	// fraction of points whose final assignment is the exact
-	// lowest-index argmax over the run's own final centroids. 1.0 for
-	// every exact kernel (they are bit-identical to exhaustive, checked
-	// below); the approx rows report what the candidate tier loses.
+	// Recall is the self-consistency recall of a kernel: the fraction of
+	// points whose final assignment is the exact lowest-index argmax
+	// over the run's own final centroids. 1.0 for every exact kernel
+	// (they are bit-identical to exhaustive, checked below), and for
+	// mini-batch by construction (its final pass is exact) — computed
+	// there anyway as a live check.
 	Recall float64 `json:"recall"`
-	// Fallbacks counts points whose candidate set degenerated to the
-	// full exhaustive scan (approx kernels only).
-	Fallbacks int64 `json:"approx_fallbacks,omitempty"`
 }
 
 // scaleSize is every measurement for one corpus size.
@@ -96,12 +74,10 @@ type scaleSize struct {
 	// BuildSerialMillis is the Workers:1 reference build, measured while
 	// verifying the parallel build is bit-identical to it; 0 above
 	// serialCheckMax where the duplicate build is skipped.
-	BuildSerialMillis    int64         `json:"build_serial_millis,omitempty"`
-	Kernels              []scaleKernel `json:"kernels"`
-	ClassifyNsOp         int64         `json:"classify_ns_per_op"`
-	ClassifyAllocs       int64         `json:"classify_allocs_per_op"`
-	ApproxClassifyNsOp   int64         `json:"approx_classify_ns_per_op"`
-	ApproxClassifyAllocs int64         `json:"approx_classify_allocs_per_op"`
+	BuildSerialMillis int64         `json:"build_serial_millis,omitempty"`
+	Kernels           []scaleKernel `json:"kernels"`
+	ClassifyNsOp      int64         `json:"classify_ns_per_op"`
+	ClassifyAllocs    int64         `json:"classify_allocs_per_op"`
 }
 
 // scaleReport is the BENCH_scale.json schema.
@@ -116,28 +92,13 @@ type scaleReport struct {
 	Sizes    []scaleSize `json:"sizes"`
 }
 
-// approxBenchConfigs are the two candidate-tier operating points the
-// curve records: the library default (conservative: 128-bit signatures,
-// C=2, margin 8) and the tuned throughput point (512-bit signatures buy
-// a faithful enough ranking that a single candidate plus a 16-bit tie
-// margin holds the recall floor while evaluating ~1.5 exact
-// similarities per point).
-var approxBenchConfigs = []struct {
-	Name string
-	Ap   cluster.Approx
-}{
-	{"approx", cluster.Approx{Enabled: true}},
-	{"approx_fast", cluster.Approx{Enabled: true, Bits: 512, Candidates: 1, Margin: 16}},
-}
-
-// scaleBench measures exact (pruned) kernels, the LSH candidate-tier
-// kernels, and the mini-batch kernel against the exhaustive reference
-// on forms-only corpora of the given sizes, plus the model build
-// (parallel vs serial) and the classify serve path. Every exact pruned
-// run is checked byte-identical to the exhaustive assignment and
-// strictly cheaper in distance computations, and every approx run is
-// held to the recall/reduction contract; a violation is an error, so CI
-// smokes fail loudly instead of recording a regression.
+// scaleBench measures the exact (pruned) kernels and the mini-batch
+// kernel against the exhaustive reference on forms-only corpora of the
+// given sizes, plus the model build (parallel vs serial) and the
+// classify serve path. Every exact pruned run is checked byte-identical
+// to the exhaustive assignment and strictly cheaper in distance
+// computations; a violation is an error, so CI smokes fail loudly
+// instead of recording a regression.
 func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 	rep := scaleReport{Seed: seed, MoveFrac: 1e-12}
 	k := len(webgen.Domains)
@@ -227,49 +188,8 @@ func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 			}
 			exhaustive = row.Kernels[0].Distances
 		} else {
-			fmt.Printf("# n=%d: exact kernels skipped above %d pages — approx/minibatch only, reductions relative to n*k per pass\n",
+			fmt.Printf("# n=%d: exact kernels skipped above %d pages — minibatch only\n",
 				n, exactKernelMax)
-		}
-
-		// Candidate-tier kernels: same seed and stop criterion, restricted
-		// to LSH candidates. These runs converge to their own local optimum
-		// (often in far fewer rounds than the exhaustive run, whose tail
-		// iterations shuffle near-tie points), so the honest quality metric
-		// is self-consistency recall over their own final centroids, and
-		// the honest cost metric is total distance computations.
-		for _, cfg := range approxBenchConfigs {
-			reg := obs.NewRegistry()
-			t1 := time.Now()
-			res := cluster.KMeans(m, k, nil, cluster.Options{
-				Rand: rand.New(rand.NewSource(seed)), MoveFrac: rep.MoveFrac,
-				Metrics: reg, Approx: cfg.Ap,
-			})
-			kr := scaleKernel{
-				Kernel:     cfg.Name,
-				Millis:     time.Since(t1).Milliseconds(),
-				Iterations: res.Iterations,
-				Distances:  counterValue(reg, "distance_computations_total"),
-				Fallbacks:  counterValue(reg, "approx_fallback_total"),
-			}
-			if exhaustive > 0 {
-				kr.Reduction = float64(exhaustive) / float64(kr.Distances)
-			}
-			kr.PerIterReduction = perIterReduction(n, k, kr.Iterations, kr.Distances)
-			recall, err := assignmentRecall(m, res)
-			if err != nil {
-				return rep, fmt.Errorf("n=%d kernel=%s: %v", n, cfg.Name, err)
-			}
-			kr.Recall = recall
-			if n >= approxRecallMinN && kr.Recall < approxRecallFloor {
-				return rep, fmt.Errorf("n=%d kernel=%s: recall %.4f below the %.2f contract",
-					n, cfg.Name, kr.Recall, approxRecallFloor)
-			}
-			printKernelRow(n, kr)
-			if cfg.Name == "approx_fast" && n >= approxReductionMinN && kr.PerIterReduction < approxReductionFloor {
-				return rep, fmt.Errorf("n=%d kernel=%s: per-pass distance reduction %.2fx below the %.1fx contract",
-					n, cfg.Name, kr.PerIterReduction, approxReductionFloor)
-			}
-			row.Kernels = append(row.Kernels, kr)
 		}
 
 		// Mini-batch: sampled update rounds plus one exact full assignment
@@ -290,11 +210,7 @@ func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 			if exhaustive > 0 {
 				kr.Reduction = float64(exhaustive) / float64(kr.Distances)
 			}
-			recall, err := assignmentRecall(m, res)
-			if err != nil {
-				return rep, fmt.Errorf("n=%d kernel=minibatch: %v", n, err)
-			}
-			kr.Recall = recall
+			kr.Recall = assignmentRecall(m, res)
 			printKernelRow(n, kr)
 			row.Kernels = append(row.Kernels, kr)
 			if !runExact {
@@ -305,19 +221,15 @@ func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 		}
 
 		// Serve-path throughput: classify one held-out page against the
-		// trained centroids through the pooled fast path, exact and with
-		// the candidate tier.
+		// trained centroids through the pooled fast path.
 		probe, err := heldOutPage(seed + 1)
 		if err != nil {
 			return rep, err
 		}
 		clf := icafc.NewClassifier(m, ref, majorityLabels(ref, labels))
 		row.ClassifyNsOp, row.ClassifyAllocs = benchClassify(clf, probe)
-		aclf := icafc.NewClassifier(m, ref, majorityLabels(ref, labels))
-		aclf.SetApprox(cluster.Approx{Enabled: true})
-		row.ApproxClassifyNsOp, row.ApproxClassifyAllocs = benchClassify(aclf, probe)
-		fmt.Printf("# n=%d serial_build=%dms classify=%dns/op approx_classify=%dns/op\n",
-			n, row.BuildSerialMillis, row.ClassifyNsOp, row.ApproxClassifyNsOp)
+		fmt.Printf("# n=%d serial_build=%dms classify=%dns/op\n",
+			n, row.BuildSerialMillis, row.ClassifyNsOp)
 		rep.Sizes = append(rep.Sizes, row)
 	}
 	return rep, nil
@@ -335,14 +247,9 @@ func perIterReduction(n, k, iters int, dist int64) float64 {
 // assignmentRecall is the self-consistency recall of a clustering
 // result: the fraction of points whose recorded assignment equals the
 // exact lowest-index argmax over the result's own final centroids. An
-// exact kernel scores 1.0 by definition; an approx kernel scores below
-// it exactly where the candidate tier mis-ranked a point's best
-// centroid out of the evaluated set.
-func assignmentRecall(m *icafc.Model, res cluster.Result) (float64, error) {
+// exact kernel scores 1.0 by definition.
+func assignmentRecall(m *icafc.Model, res cluster.Result) float64 {
 	idx := m.NewCentroidIndex(res.Centroids)
-	if idx == nil {
-		return 0, fmt.Errorf("centroid index unavailable (engine disabled?)")
-	}
 	sims := make([]float64, res.K)
 	scratch := make([]float64, idx.ScratchLen())
 	same := 0
@@ -358,7 +265,7 @@ func assignmentRecall(m *icafc.Model, res cluster.Result) (float64, error) {
 			same++
 		}
 	}
-	return float64(same) / float64(len(res.Assign)), nil
+	return float64(same) / float64(len(res.Assign))
 }
 
 // benchClassify measures one classifier's steady-state Classify cost.
@@ -429,14 +336,14 @@ func histogramSumMillis(reg *obs.Registry, name string) int64 {
 // the better part of an hour, and a contract violation should leave
 // every number measured before it on the terminal.
 func printKernelHeader() {
-	fmt.Printf("%10s %12s %6s %12s %14s %12s %10s %10s %8s %10s\n",
-		"formPages", "kernel", "iters", "ms", "distances", "pruned", "reduction", "perpass", "recall", "fallbacks")
+	fmt.Printf("%10s %12s %6s %12s %14s %12s %10s %10s %8s\n",
+		"formPages", "kernel", "iters", "ms", "distances", "pruned", "reduction", "perpass", "recall")
 }
 
 func printKernelRow(n int, kr scaleKernel) {
-	fmt.Printf("%10d %12s %6d %12d %14d %12d %9.2fx %9.2fx %8.4f %10d\n",
+	fmt.Printf("%10d %12s %6d %12d %14d %12d %9.2fx %9.2fx %8.4f\n",
 		n, kr.Kernel, kr.Iterations, kr.Millis, kr.Distances, kr.Pruned,
-		kr.Reduction, kr.PerIterReduction, kr.Recall, kr.Fallbacks)
+		kr.Reduction, kr.PerIterReduction, kr.Recall)
 }
 
 // writeScaleJSON writes the JSON report to path (the table itself is

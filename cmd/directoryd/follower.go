@@ -154,8 +154,8 @@ func runFollower(p followerParams, reg *obs.Registry, ring *obs.RingSink, tracer
 		// record count is the replication resume offset.
 		IngestWorkers: p.ingestWorkers,
 		OnPublish:     ls.onPublish,
-		Quality:        &cafc.QualityConfig{Seed: p.seed},
-		Search:         &cafc.SearchConfig{},
+		Quality:       &cafc.QualityConfig{Seed: p.seed},
+		Search:        &cafc.SearchConfig{},
 	}
 	live, err := cafc.RecoverFollower(cfg, opts)
 	if err != nil {

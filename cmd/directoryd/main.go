@@ -76,8 +76,8 @@ func main() {
 		outageAfter = flag.Int("backlink-outage-after", -1, "kill the backlink service after N queries (-1 = never; testing aid)")
 
 		// Live-mode flags (see runLive).
-		live          = flag.Bool("live", false, "streaming mode: POST /ingest grows the directory while it serves")
-		data          = flag.String("data", "", "durable state dir for -live (WAL + snapshots); recovery wins over -in")
+		live = flag.Bool("live", false, "streaming mode: POST /ingest grows the directory while it serves")
+		data = flag.String("data", "", "durable state dir for -live (WAL + snapshots); recovery wins over -in")
 		// Replication flags (see follower.go / router.go).
 		role           = flag.String("role", "", "replication role: leader | follower | router (empty = standalone)")
 		leader         = flag.String("leader", "", "leader base URL (follower: replication source + write forwarding; router: write target)")
@@ -85,17 +85,17 @@ func main() {
 		maxLag         = flag.Int64("max-lag", 64, "follower staleness threshold: /healthz degrades once replication lag exceeds this many epochs")
 		replPoll       = flag.Duration("repl-poll", 200*time.Millisecond, "follower replication poll interval")
 		healthInterval = flag.Duration("health-interval", time.Second, "router replica health-check interval")
-		batch         = flag.Int("batch", 0, "live ingest batch size (0 = default)")
-		queue         = flag.Int("queue", 0, "live ingest queue bound (0 = default)")
-		flush         = flag.Duration("flush", 0, "live partial-batch flush interval (0 = default)")
-		drift         = flag.Float64("drift", 0, "reassignment fraction that triggers a full re-cluster (0 = default, >=1 disables)")
-		snapshotEvery = flag.Int("snapshot-every", 0, "checkpoint a snapshot every N WAL records (0 = only on drain)")
-		ingestWorkers = flag.Int("ingest-workers", 0, "parse/embed shard count per ingest batch (0 = one per CPU, 1 = serial; epochs are identical for every value)")
-		groupCommit   = flag.Int("group-commit", 0, "batch up to N WAL records per fsync (0 = fsync per record; leaders only, a crash loses at most the unacknowledged buffer)")
-		commitWindow  = flag.Duration("commit-window", 0, "max time a buffered WAL record waits for its group fsync (0 = flush interval)")
-		sloClassifyMS = flag.Float64("slo-classify-ms", 50, "classify latency objective in ms (burn gauges need -metrics)")
-		sloIngestMS   = flag.Float64("slo-ingest-ms", 20, "ingest latency objective in ms (burn gauges need -metrics)")
-		reqlog        = flag.Bool("reqlog", false, "structured JSON request logs on stderr (live mode)")
+		batch          = flag.Int("batch", 0, "live ingest batch size (0 = default)")
+		queue          = flag.Int("queue", 0, "live ingest queue bound (0 = default)")
+		flush          = flag.Duration("flush", 0, "live partial-batch flush interval (0 = default)")
+		drift          = flag.Float64("drift", 0, "reassignment fraction that triggers a full re-cluster (0 = default, >=1 disables)")
+		snapshotEvery  = flag.Int("snapshot-every", 0, "checkpoint a snapshot every N WAL records (0 = only on drain)")
+		ingestWorkers  = flag.Int("ingest-workers", 0, "parse/embed shard count per ingest batch (0 = one per CPU, 1 = serial; epochs are identical for every value)")
+		groupCommit    = flag.Int("group-commit", 0, "batch up to N WAL records per fsync (0 = fsync per record; leaders only, a crash loses at most the unacknowledged buffer)")
+		commitWindow   = flag.Duration("commit-window", 0, "max time a buffered WAL record waits for its group fsync (0 = flush interval)")
+		sloClassifyMS  = flag.Float64("slo-classify-ms", 50, "classify latency objective in ms (burn gauges need -metrics)")
+		sloIngestMS    = flag.Float64("slo-ingest-ms", 20, "ingest latency objective in ms (burn gauges need -metrics)")
+		reqlog         = flag.Bool("reqlog", false, "structured JSON request logs on stderr (live mode)")
 	)
 	flag.Parse()
 

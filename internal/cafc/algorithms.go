@@ -20,27 +20,12 @@ func CAFCC(m *Model, k int, rng *rand.Rand) cluster.Result {
 	return cluster.KMeans(m, k, nil, m.clusterOpts(rng))
 }
 
-// CAFCCApprox is CAFC-C with the LSH candidate tier enabled: assignment
-// scans evaluate exact Equation 3 similarity only against the top-C
-// centroids by signature Hamming distance. Approximate — the exact
-// CAFCC remains the reference — and deterministic for fixed rng/approx
-// seeds.
-func CAFCCApprox(m *Model, k int, rng *rand.Rand, ap cluster.Approx) cluster.Result {
-	opts := m.clusterOpts(rng)
-	opts.Approx = ap
-	return cluster.KMeans(m, k, nil, opts)
-}
-
 // CAFCCMiniBatch is the sampled-update variant of CAFC-C for corpora
 // where full Lloyd iterations no longer fit the rebuild budget: the
 // streaming layer's drift-triggered re-cluster path runs this instead
-// of CAFCC when Config.MiniBatchRebuild is set. ap composes the LSH
-// candidate tier into the final full assignment pass; pass the zero
-// Approx for exact assignment.
-func CAFCCMiniBatch(m *Model, k int, rng *rand.Rand, mb cluster.MiniBatch, ap cluster.Approx) cluster.Result {
-	opts := m.clusterOpts(rng)
-	opts.Approx = ap
-	return cluster.MiniBatchKMeans(m, k, nil, opts, mb)
+// of CAFCC when Config.MiniBatchRebuild is set.
+func CAFCCMiniBatch(m *Model, k int, rng *rand.Rand, mb cluster.MiniBatch) cluster.Result {
+	return cluster.MiniBatchKMeans(m, k, nil, m.clusterOpts(rng), mb)
 }
 
 // CAFCCSeeded runs the CAFC-C k-means loop from explicit seed groups

@@ -72,7 +72,7 @@ func (m *Model) AppendPages(fps []*form.FormPage) {
 			m.Pages[start+i] = m.Embed(fps[i])
 		}
 	})
-	if cp := m.compiled; cp != nil && !m.DisableCompiled {
+	if cp := m.compiled; cp != nil {
 		var terms []string
 		for _, p := range m.Pages[start:] {
 			terms = internSorted(p.PC, cp.pcDict, terms)

@@ -15,10 +15,9 @@ import (
 // discovered hidden-web sources — this type implements that suggestion.
 //
 // Classify and Rank serve through a pooled, allocation-free fast path
-// (see classifyEngine) whenever the model's compiled engine is active;
-// the generic embed-and-compare path remains as the fallback and the
-// semantic reference. A Classifier is safe for concurrent use once
-// built.
+// (see classifyEngine), pinned bit-identical to the generic Embed →
+// CompilePoint → Sim pipeline. A Classifier is safe for concurrent use
+// once built.
 type Classifier struct {
 	model     *Model
 	centroids []cluster.Point
@@ -26,23 +25,9 @@ type Classifier struct {
 	// human-assigned directory label).
 	Labels []string
 
-	approx cluster.Approx
-
 	engineOnce sync.Once
 	eng        *classifyEngine
 }
-
-// SetApprox opts Classify into the LSH candidate tier: each request
-// signs the embedded page, ranks the centroids by signature Hamming
-// distance, and evaluates exact Equation 3 similarity only against the
-// top-C candidates (ties with the C-th candidate extend the set; a tie
-// extension reaching all k degenerates to the exact scan and counts in
-// approx_fallback_total). Rank always scores every centroid exactly —
-// a full ranking has no candidate set to skip. Must be called before
-// the first Classify/Rank (the serve engine freezes on first use);
-// calls after that are ignored. No-op when the model's packed engine
-// is inactive — approximation is an optimization, never a requirement.
-func (c *Classifier) SetApprox(ap cluster.Approx) { c.approx = ap }
 
 // NewClassifier builds a nearest-centroid classifier from a clustering of
 // the model. labels[i] names cluster i; missing entries default to "".
@@ -96,33 +81,17 @@ type Prediction struct {
 
 // Classify embeds the form page into the model's TF-IDF spaces and
 // returns the most similar cluster. ok is false when the page has no
-// similarity to any centroid (all-zero vectors). On the fast path this
-// allocates nothing: the winner is a single pass over pooled scores,
-// with the same lowest-index tie break the ranked path's sort produces.
+// similarity to any centroid (all-zero vectors) or the classifier has
+// no clusters. This allocates nothing: the winner is a single pass over
+// pooled scores, with the same lowest-index tie break the ranked path's
+// sort produces.
 func (c *Classifier) Classify(fp *form.FormPage) (Prediction, bool) {
-	e := c.engine()
-	if e == nil {
-		ranked := c.Rank(fp)
-		if len(ranked) == 0 || ranked[0].Similarity == 0 {
-			var p Prediction
-			if len(ranked) > 0 {
-				p = ranked[0]
-			}
-			return p, false
-		}
-		return ranked[0], true
+	if len(c.centroids) == 0 {
+		return Prediction{}, false
 	}
+	e := c.engine()
 	sc := e.pool.Get().(*classifyScratch)
 	defer e.pool.Put(sc)
-	if e.approx.Enabled {
-		best, bestSim := e.scoreApprox(sc, fp)
-		if bestSim > 0 {
-			return Prediction{Cluster: best, Label: c.Labels[best], Similarity: bestSim}, true
-		}
-		// No candidate had any similarity; fall through to the exact
-		// scan so the ok=false contract means "no centroid at all", not
-		// "no candidate" (rare: an all-zero or out-of-vocabulary page).
-	}
 	best, bestSim := 0, -1.0
 	for i, sim := range e.score(sc, fp) {
 		if sim > bestSim {
@@ -134,27 +103,14 @@ func (c *Classifier) Classify(fp *form.FormPage) (Prediction, bool) {
 
 // Rank returns every cluster ordered by decreasing similarity to the
 // page (ties broken by cluster index). Unlike Classify it must return a
-// slice, so it allocates the result — but on the fast path nothing else.
+// slice, so it allocates the result — but nothing else.
 func (c *Classifier) Rank(fp *form.FormPage) []Prediction {
+	e := c.engine()
+	sc := e.pool.Get().(*classifyScratch)
+	defer e.pool.Put(sc)
 	out := make([]Prediction, 0, len(c.centroids))
-	if e := c.engine(); e != nil {
-		sc := e.pool.Get().(*classifyScratch)
-		defer e.pool.Put(sc)
-		for i, sim := range e.score(sc, fp) {
-			out = append(out, Prediction{Cluster: i, Label: c.Labels[i], Similarity: sim})
-		}
-		sortPredictions(out)
-		return out
-	}
-	// Pack the embedded page once so the per-centroid Sim calls run on
-	// the compiled path instead of re-packing per comparison.
-	p := c.model.CompilePoint(c.model.PointOf(c.model.Embed(fp)))
-	for i, cent := range c.centroids {
-		out = append(out, Prediction{
-			Cluster:    i,
-			Label:      c.Labels[i],
-			Similarity: c.model.Sim(p, cent),
-		})
+	for i, sim := range e.score(sc, fp) {
+		out = append(out, Prediction{Cluster: i, Label: c.Labels[i], Similarity: sim})
 	}
 	sortPredictions(out)
 	return out

@@ -7,7 +7,6 @@ import (
 
 	"cafc/internal/cluster"
 	"cafc/internal/form"
-	"cafc/internal/obs"
 	"cafc/internal/vector"
 )
 
@@ -31,17 +30,6 @@ type classifyEngine struct {
 	uniform bool
 	pc, fc  *spaceIndex
 	pool    sync.Pool // *classifyScratch
-
-	// Approx serve state (Classifier.SetApprox): frozen centroid
-	// signatures plus the hashers that produced them. Per-request query
-	// signing lives in pooled scratch, so the approx path stays
-	// allocation-free like the exact one.
-	approx           cluster.Approx
-	words            int
-	pcH, fcH         vector.SimHasher
-	pcScale, fcScale float64
-	csigs            []uint64
-	candCtr, fallCtr *obs.Counter
 }
 
 // spaceIndex is one feature space's frozen serve-side state.
@@ -65,13 +53,6 @@ func newSpaceIndex(d *vector.Dict, df *vector.DocFreq, cents []vector.Compiled) 
 type classifyScratch struct {
 	pc, fc               termAcc
 	sims, simsPC, simsFC []float64
-	// Approx-path buffers (allocated only when the tier is enabled):
-	// projection accumulator, query signature, per-centroid Hamming
-	// distances and the counting histogram over Hamming values.
-	sigAcc []float64
-	qsig   []uint64
-	ham    []int
-	hist   []int
 }
 
 // termAcc accumulates one feature space's term statistics into dense
@@ -124,34 +105,19 @@ func (a *termAcc) embed(terms []vector.WeightedTerm, sp *spaceIndex, uniform boo
 	return vector.Compiled{IDs: a.ids, Weights: a.weights, Norm: math.Sqrt(sum)}
 }
 
-// engine lazily builds the serve path; nil means the generic fallback
-// (engine disabled, stale, unpacked centroids, or an empty classifier).
+// engine lazily builds the serve path on first use, so a classifier
+// built per epoch costs nothing until it serves.
 func (c *Classifier) engine() *classifyEngine {
 	c.engineOnce.Do(func() {
-		c.eng = buildClassifyEngine(c.model, c.centroids, c.approx)
+		c.eng = buildClassifyEngine(c.model, c.centroids)
 	})
 	return c.eng
 }
 
-func buildClassifyEngine(m *Model, centroids []cluster.Point, approx cluster.Approx) *classifyEngine {
-	cp := m.engine()
-	if cp == nil || len(centroids) == 0 {
-		return nil
-	}
-	pcs := make([]vector.Compiled, len(centroids))
-	fcs := make([]vector.Compiled, len(centroids))
-	for i, cent := range centroids {
-		p, ok := cent.(cpoint)
-		if !ok {
-			return nil
-		}
-		pcs[i] = p.pc
-		fcs[i] = p.fc
-	}
-	c1, c2 := m.C1, m.C2
-	if c1 == 0 && c2 == 0 {
-		c1, c2 = 1, 1
-	}
+func buildClassifyEngine(m *Model, centroids []cluster.Point) *classifyEngine {
+	cp := m.compiled
+	pcs, fcs := m.packedCentroids(centroids)
+	c1, c2 := m.weights()
 	e := &classifyEngine{
 		k:       len(centroids),
 		feats:   m.Features,
@@ -161,35 +127,12 @@ func buildClassifyEngine(m *Model, centroids []cluster.Point, approx cluster.App
 		pc:      newSpaceIndex(cp.pcDict, m.PCDF, pcs),
 		fc:      newSpaceIndex(cp.fcDict, m.FCDF, fcs),
 	}
-	if approx.Enabled {
-		e.initApprox(m, approx, pcs, fcs)
-	}
 	e.pool.New = func() any { return e.newScratch() }
 	return e
 }
 
-// initApprox freezes the candidate tier: centroid signatures are
-// computed once here (the classifier's centroids never move), with the
-// same two-space hashers the clustering signer uses.
-func (e *classifyEngine) initApprox(m *Model, approx cluster.Approx, pcs, fcs []vector.Compiled) {
-	ap := approx.WithDefaults()
-	e.approx = ap
-	e.pcH = vector.NewSimHasher(ap.Bits, ap.Seed)
-	e.fcH = vector.NewSimHasher(ap.Bits, ap.Seed+fcSeedOffset)
-	e.pcScale = math.Sqrt(e.c1)
-	e.fcScale = math.Sqrt(e.c2)
-	e.words = e.pcH.Words()
-	e.csigs = make([]uint64, e.k*e.words)
-	acc := make([]float64, e.pcH.Bits())
-	for c := 0; c < e.k; c++ {
-		signTwoSpace(e.csigs[c*e.words:(c+1)*e.words], acc, e.pcH, e.fcH, e.feats, e.pcScale, e.fcScale, pcs[c], fcs[c])
-	}
-	e.candCtr = m.Metrics.Counter("approx_candidates_total")
-	e.fallCtr = m.Metrics.Counter("approx_fallback_total")
-}
-
 func (e *classifyEngine) newScratch() *classifyScratch {
-	sc := &classifyScratch{
+	return &classifyScratch{
 		pc: termAcc{
 			tf:  make([]float64, e.pc.dict.Len()),
 			loc: make([]float64, e.pc.dict.Len()),
@@ -201,85 +144,6 @@ func (e *classifyEngine) newScratch() *classifyScratch {
 		sims:   make([]float64, e.k),
 		simsPC: make([]float64, e.k),
 		simsFC: make([]float64, e.k),
-	}
-	if e.approx.Enabled {
-		sc.sigAcc = make([]float64, e.pcH.Bits())
-		sc.qsig = make([]uint64, e.words)
-		sc.ham = make([]int, e.k)
-		sc.hist = make([]int, e.pcH.Bits()+1)
-	}
-	return sc
-}
-
-// scoreApprox is the candidate-tier Classify: sign the embedded page,
-// rank centroids by Hamming distance, evaluate exact Equation 3 only
-// for the top-C (tie-extended) candidates. Same comparison semantics as
-// the clustering kernel — strict `>` in ascending centroid order — and
-// the same counters; a tie extension reaching all k is the exact scan
-// and counts as a fallback.
-func (e *classifyEngine) scoreApprox(sc *classifyScratch, fp *form.FormPage) (int, float64) {
-	var qp, qf vector.Compiled
-	switch e.feats {
-	case FCOnly:
-		qf = sc.fc.embed(fp.FCTerms, e.fc, e.uniform)
-	case PCOnly:
-		qp = sc.pc.embed(fp.PCTerms, e.pc, e.uniform)
-	default:
-		qp = sc.pc.embed(fp.PCTerms, e.pc, e.uniform)
-		qf = sc.fc.embed(fp.FCTerms, e.fc, e.uniform)
-	}
-	signTwoSpace(sc.qsig, sc.sigAcc, e.pcH, e.fcH, e.feats, e.pcScale, e.fcScale, qp, qf)
-	for h := range sc.hist {
-		sc.hist[h] = 0
-	}
-	w := e.words
-	for c := 0; c < e.k; c++ {
-		d := vector.Hamming(sc.qsig, e.csigs[c*w:(c+1)*w])
-		sc.ham[c] = d
-		sc.hist[d]++
-	}
-	C := e.approx.Candidates
-	if C > e.k {
-		C = e.k
-	}
-	threshold, seen := 0, 0
-	for h := range sc.hist {
-		seen += sc.hist[h]
-		if seen >= C {
-			threshold = h + e.approx.Margin
-			break
-		}
-	}
-	best, bestSim, evaluated := -1, -1.0, 0
-	for c := 0; c < e.k; c++ {
-		if sc.ham[c] > threshold {
-			continue
-		}
-		sim := e.simOne(qp, qf, c)
-		evaluated++
-		if sim > bestSim {
-			best, bestSim = c, sim
-		}
-	}
-	e.candCtr.Add(int64(evaluated))
-	if evaluated == e.k {
-		e.fallCtr.Inc()
-	}
-	return best, bestSim
-}
-
-// simOne is one centroid's exact Equation 3 similarity against the
-// already-embedded query, through the postings' dense rows — the same
-// expression score uses for the full scan.
-func (e *classifyEngine) simOne(qp, qf vector.Compiled, c int) float64 {
-	switch e.feats {
-	case FCOnly:
-		return vector.CosineDot(e.fc.post.DotOne(qf, c), qf.Norm, e.fc.post.Norm(c))
-	case PCOnly:
-		return vector.CosineDot(e.pc.post.DotOne(qp, c), qp.Norm, e.pc.post.Norm(c))
-	default:
-		return (e.c1*vector.CosineDot(e.pc.post.DotOne(qp, c), qp.Norm, e.pc.post.Norm(c)) +
-			e.c2*vector.CosineDot(e.fc.post.DotOne(qf, c), qf.Norm, e.fc.post.Norm(c))) / (e.c1 + e.c2)
 	}
 }
 

@@ -111,33 +111,6 @@ func TestClassifyFastMatchesReferenceFeatures(t *testing.T) {
 	}
 }
 
-// TestClassifyFallbackWhenEngineDisabled pins the graceful degradation:
-// with the compiled engine off the classifier must still answer (via
-// the generic path), just without the fast engine.
-func TestClassifyFallbackWhenEngineDisabled(t *testing.T) {
-	p := buildPipeline(t, 102, 96)
-	res := cluster.KMeans(p.model, p.k, nil, cluster.Options{Rand: rand.New(rand.NewSource(3))})
-	m := p.model.WithEngine(false)
-	clf := NewLabelledClassifier(m, res, p.classes)
-	if clf.engine() != nil {
-		t.Fatal("engine built despite DisableCompiled")
-	}
-	fp := p.model.Pages[4].Raw
-	pred, ok := clf.Classify(fp)
-	if !ok || pred.Similarity <= 0 {
-		t.Errorf("fallback Classify rejected a training page: %+v ok=%v", pred, ok)
-	}
-	// The map engine sums cosines in map-iteration order, so repeated
-	// calls differ in the last ULP — compare structurally, not bitwise.
-	got := clf.Rank(fp)
-	if len(got) != p.k || got[0].Cluster != pred.Cluster || got[0].Label != pred.Label {
-		t.Errorf("fallback Rank disagrees with Classify: %+v vs %+v", got[0], pred)
-	}
-	if d := got[0].Similarity - pred.Similarity; d > 1e-9 || d < -1e-9 {
-		t.Errorf("fallback similarities diverge beyond ULP noise: %v vs %v", got[0].Similarity, pred.Similarity)
-	}
-}
-
 // TestClassifyZeroAlloc pins the serve path at zero steady-state heap
 // allocations per classification.
 func TestClassifyZeroAlloc(t *testing.T) {

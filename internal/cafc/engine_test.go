@@ -7,27 +7,64 @@ import (
 	"testing"
 
 	"cafc/internal/cluster"
+	"cafc/internal/vector"
 )
 
+// mapSpace is the map-vector oracle for the packed engine: Equation 3
+// over vector.Cosine on each page's PC/FC maps, with centroids from
+// vector.Centroid — the similarity the reproduction started with. It
+// implements only cluster.Space, so the kernels score it through plain
+// Sim calls.
+type mapSpace struct {
+	m *Model
+}
+
+type mapPoint struct {
+	pc, fc vector.Vector
+}
+
+func (s mapSpace) Len() int { return s.m.Len() }
+
+func (s mapSpace) Point(i int) cluster.Point {
+	return mapPoint{pc: s.m.Pages[i].PC, fc: s.m.Pages[i].FC}
+}
+
+func (s mapSpace) Centroid(members []int) cluster.Point {
+	pcs := make([]vector.Vector, len(members))
+	fcs := make([]vector.Vector, len(members))
+	for i, mem := range members {
+		pcs[i] = s.m.Pages[mem].PC
+		fcs[i] = s.m.Pages[mem].FC
+	}
+	return mapPoint{pc: vector.Centroid(pcs), fc: vector.Centroid(fcs)}
+}
+
+func (s mapSpace) Sim(a, b cluster.Point) float64 {
+	pa, pb := a.(mapPoint), b.(mapPoint)
+	switch s.m.Features {
+	case FCOnly:
+		return vector.Cosine(pa.fc, pb.fc)
+	case PCOnly:
+		return vector.Cosine(pa.pc, pb.pc)
+	default:
+		c1, c2 := s.m.C1, s.m.C2
+		return (c1*vector.Cosine(pa.pc, pb.pc) + c2*vector.Cosine(pa.fc, pb.fc)) / (c1 + c2)
+	}
+}
+
 // TestEnginesAgree holds the compiled two-space engine to the map
-// engine: pairwise Equation 3 similarities agree within 1e-12 under
-// every feature configuration, and identically-seeded clustering runs
-// produce identical assignments.
+// oracle: pairwise Equation 3 similarities agree within 1e-12 under
+// every feature configuration, and identically-seeded CAFC-C, CAFC-CH
+// (hub-seeded) and HAC runs produce identical assignments.
 func TestEnginesAgree(t *testing.T) {
 	p := buildPipeline(t, 5, 120)
-	compiled := p.model // Build compiles by default
-	plain := p.model.WithEngine(false)
-	if compiled.engine() == nil {
-		t.Fatal("Build did not compile the model")
-	}
-	if plain.engine() != nil {
-		t.Fatal("WithEngine(false) did not disable the engine")
-	}
+	compiled := p.model
+	oracle := mapSpace{m: compiled}
 	for _, f := range []Features{FCPC, FCOnly, PCOnly} {
-		mc, mp := compiled.WithFeatures(f), plain.WithFeatures(f)
+		mc, mo := compiled.WithFeatures(f), mapSpace{m: compiled.WithFeatures(f)}
 		for i := 0; i < 40; i++ {
 			for j := i; j < 40; j++ {
-				got, want := mc.PairSim(i, j), mp.PairSim(i, j)
+				got, want := mc.PairSim(i, j), mo.Sim(mo.Point(i), mo.Point(j))
 				if math.Abs(got-want) > 1e-12 {
 					t.Fatalf("%v: sim(%d,%d) compiled %g vs map %g", f, i, j, got, want)
 				}
@@ -35,12 +72,21 @@ func TestEnginesAgree(t *testing.T) {
 		}
 	}
 	a := CAFCC(compiled, p.k, rand.New(rand.NewSource(3)))
-	b := CAFCC(plain, p.k, rand.New(rand.NewSource(3)))
+	b := cluster.KMeans(oracle, p.k, nil, cluster.Options{Rand: rand.New(rand.NewSource(3))})
 	if !reflect.DeepEqual(a.Assign, b.Assign) {
 		t.Error("compiled engine changed CAFC-C assignments")
 	}
+	seeds := SelectHubClusters(compiled, p.clusters, p.k, 2)
+	if len(seeds) == 0 {
+		t.Fatal("no hub seeds selected")
+	}
+	ca := CAFCCSeeded(compiled, p.k, seeds, rand.New(rand.NewSource(1)))
+	cb := cluster.KMeans(oracle, p.k, seeds, cluster.Options{Rand: rand.New(rand.NewSource(1))})
+	if !reflect.DeepEqual(ca.Assign, cb.Assign) {
+		t.Error("compiled engine changed hub-seeded CAFC-CH assignments")
+	}
 	ha := HACResult(compiled, p.k, cluster.AverageLinkage)
-	hb := HACResult(plain, p.k, cluster.AverageLinkage)
+	hb := cluster.HACCut(oracle, p.k, cluster.AverageLinkage)
 	if !reflect.DeepEqual(ha.Assign, hb.Assign) {
 		t.Error("compiled engine changed HAC assignments")
 	}
@@ -74,9 +120,9 @@ func TestMixedPointSim(t *testing.T) {
 	cent := m.Centroid(members[0]) // cpoint
 	ext := m.PointOf(m.Pages[3])   // map point
 	got := m.Sim(ext, cent)
-	// Reference: the same comparison entirely on the map path.
-	plain := m.WithEngine(false)
-	want := plain.Sim(plain.PointOf(m.Pages[3]), plain.Centroid(members[0]))
+	// Reference: the same comparison entirely on the map oracle.
+	oracle := mapSpace{m: m}
+	want := oracle.Sim(oracle.Point(3), oracle.Centroid(members[0]))
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("mixed Sim %g != map reference %g", got, want)
 	}

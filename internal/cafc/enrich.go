@@ -49,8 +49,8 @@ func SelectHubClustersAnchored(m *Model, clusters []hub.Cluster, k, minCard int,
 	// Enriched candidate points: centroid with anchor vector added to PC.
 	pts := make([]cluster.Point, len(kept))
 	for i, c := range kept {
-		// Map-space centroid: the anchor vector is blended term-wise
-		// before the point is (lazily) packed by Sim.
+		// Map-space centroid: the anchor vector is blended term-wise,
+		// and the enriched points compare on Sim's map path.
 		cent := m.centroidMaps(c.Members)
 		av := anchorVector(m, c, anchors)
 		if av.Len() > 0 {

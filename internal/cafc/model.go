@@ -67,11 +67,6 @@ type Model struct {
 	FCDF, PCDF *vector.DocFreq
 	// Uniform records whether LOC factors were suppressed at build time.
 	Uniform bool
-	// DisableCompiled forces the map-based similarity engine. The packed
-	// engine (term-interned vectors with precomputed norms) is the
-	// default; disabling it exists for A/B benchmarks and as an escape
-	// hatch.
-	DisableCompiled bool
 	// Metrics, when non-nil, receives model-level telemetry (TF-IDF
 	// build and engine-compile timing, vocabulary sizes) and is threaded
 	// into every clustering run over this model, so k-means/HAC
@@ -85,10 +80,16 @@ type Model struct {
 	// shard order — so this is purely a wall-clock knob.
 	Workers int
 
+	// compiled is the packed engine every Space method runs on. Every
+	// constructor (BuildWith, LoadCorpus) and every mutator (AppendPages,
+	// ReembedAll) leaves it current; code that appends Pages by hand
+	// must call EnsureCompiled before using the model as a Space.
 	compiled *compiledPages
 }
 
-// point is the two-space representative of a page or centroid.
+// point is the map-space representative of an external page (PointOf)
+// or an anchor-enriched centroid; Sim and CompilePoint pack it against
+// the model's dictionaries when it meets the engine.
 type point struct {
 	pc, fc vector.Vector
 }
@@ -200,11 +201,8 @@ func BuildWith(fps []*form.FormPage, o BuildOpts) *Model {
 // EnsureCompiled builds the packed representation of every page. Build
 // and LoadCorpus call it; call it again after appending Pages by hand.
 // It must not race with the clustering kernels — compile first, then
-// cluster. A no-op when the engine is disabled or already current.
+// cluster. A no-op when the engine is already current.
 func (m *Model) EnsureCompiled() {
-	if m.DisableCompiled {
-		return
-	}
 	if m.compiled != nil && len(m.compiled.pc) == len(m.Pages) {
 		return
 	}
@@ -271,28 +269,6 @@ func internSorted(v vector.Vector, d *vector.Dict, buf []string) []string {
 	return buf
 }
 
-// engine returns the packed representation when it is active and
-// current, nil when the map path must be used. Read-only: safe under
-// concurrent Point/Sim/Centroid calls.
-func (m *Model) engine() *compiledPages {
-	if m.DisableCompiled || m.compiled == nil || len(m.compiled.pc) != len(m.Pages) {
-		return nil
-	}
-	return m.compiled
-}
-
-// WithEngine returns a shallow copy of the model with the compiled
-// engine enabled or disabled — the A/B switch the engine benchmarks
-// use. Vectors are shared, so the copy is cheap.
-func (m *Model) WithEngine(compiled bool) *Model {
-	c := *m
-	c.DisableCompiled = !compiled
-	if compiled {
-		c.EnsureCompiled()
-	}
-	return &c
-}
-
 // Embed projects a form page into the model's TF-IDF spaces using the
 // corpus document frequencies. Terms unseen in the corpus get zero weight
 // (they carry no corpus-level evidence). The page is NOT added to the
@@ -323,18 +299,15 @@ func (m *Model) WithFeatures(f Features) *Model {
 // Len implements cluster.Space.
 func (m *Model) Len() int { return len(m.Pages) }
 
-// Point implements cluster.Space. With the compiled engine active it
-// hands out packed points, so every downstream Sim is a merge join.
+// Point implements cluster.Space with packed points, so every
+// downstream Sim is a merge join.
 func (m *Model) Point(i int) cluster.Point {
-	if cp := m.engine(); cp != nil {
-		return cpoint{pc: cp.pc[i], fc: cp.fc[i]}
-	}
-	return point{pc: m.Pages[i].PC, fc: m.Pages[i].FC}
+	return cpoint{pc: m.compiled.pc[i], fc: m.compiled.fc[i]}
 }
 
 // Centroid implements cluster.Space: the per-space term-weight average of
-// the members (Equation 4). On the compiled path members are summed into
-// dense vocabulary-sized accumulators and packed back, O(total nnz).
+// the members (Equation 4). Members are summed into dense
+// vocabulary-sized accumulators and packed back, O(total nnz).
 func (m *Model) Centroid(members []int) cluster.Point {
 	return m.CentroidWith(members, nil, nil)
 }
@@ -343,14 +316,11 @@ func (m *Model) Centroid(members []int) cluster.Point {
 // and FC spaces, so a batch caller (the live mini-batch refresh touches
 // several centroids per epoch) pays the two vocabulary-sized
 // allocations once instead of per centroid. Nil accumulators allocate
-// fresh ones — exactly Centroid; the map fallback ignores them. The
-// result is bit-identical either way: Accumulator.Compile resets state,
-// and term sums accumulate in the same member order.
+// fresh ones — exactly Centroid. The result is bit-identical either
+// way: Accumulator.Compile resets state, and term sums accumulate in
+// the same member order.
 func (m *Model) CentroidWith(members []int, pacc, facc *vector.Accumulator) cluster.Point {
-	cp := m.engine()
-	if cp == nil {
-		return m.centroidMaps(members)
-	}
+	cp := m.compiled
 	if pacc == nil {
 		pacc = vector.NewAccumulator(cp.pcDict.Len())
 	}
@@ -368,38 +338,44 @@ func (m *Model) CentroidWith(members []int, pacc, facc *vector.Accumulator) clus
 	return cpoint{pc: pacc.Compile(f), fc: facc.Compile(f)}
 }
 
+// Blend implements cluster.Blender: the convex combination
+// (1−t)·a + t·b, applied per feature space on packed vectors — the
+// mini-batch k-means centroid update.
+func (m *Model) Blend(a, b cluster.Point, t float64) cluster.Point {
+	ca, cb := m.packed(a), m.packed(b)
+	return cpoint{
+		pc: vector.BlendCompiled(ca.pc, cb.pc, t),
+		fc: vector.BlendCompiled(ca.fc, cb.fc, t),
+	}
+}
+
 // CentroidTopTerms returns the top-n PC-space terms of the members'
 // mean vector on the compiled engine, without materializing a map
 // vector — the cluster-labeling hot path (the map detour used to cost
-// ~38% of live-publish CPU). ok=false when the engine is inactive and
-// the caller must fall back to the map path. The accumulator is
-// optional scratch, as in CentroidWith.
+// ~38% of live-publish CPU). An empty member set has no terms. The
+// accumulator is optional scratch, as in CentroidWith.
 //
 // Bit-identity with vector.Centroid(pcs).TopTerms(n): the dense
 // accumulator adds members in the same order and applies the same
 // final 1/n scale, so every term weight is float-identical, and
 // Compiled.TopTerms breaks weight ties on the term string exactly as
 // Vector.TopTerms does.
-func (m *Model) CentroidTopTerms(members []int, n int, acc *vector.Accumulator) ([]string, bool) {
-	cp := m.engine()
-	if cp == nil {
-		return nil, false
-	}
+func (m *Model) CentroidTopTerms(members []int, n int, acc *vector.Accumulator) []string {
 	if len(members) == 0 {
-		return nil, true
+		return nil
 	}
+	cp := m.compiled
 	if acc == nil {
 		acc = vector.NewAccumulator(cp.pcDict.Len())
 	}
 	for _, mem := range members {
 		acc.Add(cp.pc[mem])
 	}
-	return acc.Compile(1 / float64(len(members))).TopTerms(cp.pcDict, n), true
+	return acc.Compile(1/float64(len(members))).TopTerms(cp.pcDict, n)
 }
 
-// centroidMaps is the map-based centroid, kept for the fallback engine
-// and for callers that need to post-process the centroid's term maps
-// (anchor-text enrichment).
+// centroidMaps is the map-based centroid, kept for anchor-text
+// enrichment, which post-processes the centroid's term maps.
 func (m *Model) centroidMaps(members []int) point {
 	pcs := make([]vector.Vector, len(members))
 	fcs := make([]vector.Vector, len(members))
@@ -411,15 +387,42 @@ func (m *Model) centroidMaps(members []int) point {
 }
 
 // CompilePoint converts a map-space point (PointOf, or a hand-built
-// centroid) to the packed representation when the engine is active, so
-// repeated Sim calls against compiled points skip the per-call
-// conversion. Points from other representations pass through unchanged.
+// centroid) to the packed representation, so repeated Sim calls against
+// compiled points skip the per-call conversion. Packed points pass
+// through unchanged.
 func (m *Model) CompilePoint(p cluster.Point) cluster.Point {
-	mp, ok := p.(point)
-	if !ok || m.engine() == nil {
-		return p
+	return m.packed(p)
+}
+
+// packed returns p as a packed point, compiling a map-space point on
+// the fly.
+func (m *Model) packed(p cluster.Point) cpoint {
+	if cp, ok := p.(cpoint); ok {
+		return cp
 	}
-	return m.compilePoint(mp)
+	return m.compilePoint(p.(point))
+}
+
+// packedCentroids splits centroids into per-space packed vectors — the
+// input of the postings indexes NewCentroidIndex and the classifier
+// build.
+func (m *Model) packedCentroids(centroids []cluster.Point) (pcs, fcs []vector.Compiled) {
+	pcs = make([]vector.Compiled, len(centroids))
+	fcs = make([]vector.Compiled, len(centroids))
+	for i, c := range centroids {
+		p := m.packed(c)
+		pcs[i], fcs[i] = p.pc, p.fc
+	}
+	return pcs, fcs
+}
+
+// weights returns the Equation 3 space weights C1, C2, reading the
+// all-zero pair as the paper's C1 = C2 = 1.
+func (m *Model) weights() (c1, c2 float64) {
+	if m.C1 == 0 && m.C2 == 0 {
+		return 1, 1
+	}
+	return m.C1, m.C2
 }
 
 // compilePoint packs a map point against the engine's dictionaries,
@@ -438,7 +441,8 @@ func (m *Model) compilePoint(p point) cpoint {
 //	sim(FP1, FP2) = (C1·cos(PC1, PC2) + C2·cos(FC1, FC2)) / (C1 + C2)
 //
 // restricted to the active feature spaces. Packed and map points mix
-// freely; a map point meeting a packed one is packed on the fly.
+// freely; a map point meeting a packed one is packed on the fly. Two
+// map points (anchor-enriched seed candidates) compare on the map path.
 func (m *Model) Sim(a, b cluster.Point) float64 {
 	ca, aok := a.(cpoint)
 	cb, bok := b.(cpoint)
@@ -455,10 +459,7 @@ func (m *Model) Sim(a, b cluster.Point) float64 {
 		case PCOnly:
 			return vector.CosineCompiled(ca.pc, cb.pc)
 		default:
-			c1, c2 := m.C1, m.C2
-			if c1 == 0 && c2 == 0 {
-				c1, c2 = 1, 1
-			}
+			c1, c2 := m.weights()
 			return (c1*vector.CosineCompiled(ca.pc, cb.pc) + c2*vector.CosineCompiled(ca.fc, cb.fc)) / (c1 + c2)
 		}
 	}
@@ -469,10 +470,7 @@ func (m *Model) Sim(a, b cluster.Point) float64 {
 	case PCOnly:
 		return vector.Cosine(pa.pc, pb.pc)
 	default:
-		c1, c2 := m.C1, m.C2
-		if c1 == 0 && c2 == 0 {
-			c1, c2 = 1, 1
-		}
+		c1, c2 := m.weights()
 		return (c1*vector.Cosine(pa.pc, pb.pc) + c2*vector.Cosine(pa.fc, pb.fc)) / (c1 + c2)
 	}
 }
@@ -486,29 +484,13 @@ func (m *Model) PairSim(i, j int) float64 {
 // engine: each feature space's centroids become a term → centroid
 // postings index, and Sims combines the two cosines with exactly the
 // operations (and operation order) of Sim's packed Equation 3 branch,
-// so the scores are bit-identical. Returns nil — plain Sim fallback —
-// when the engine is inactive or the centroids are not packed points.
+// so the scores are bit-identical. Map-space centroids are packed
+// first, exactly as Sim packs them, so the index is never nil.
 func (m *Model) NewCentroidIndex(centroids []cluster.Point) cluster.CentroidIndex {
-	cp := m.engine()
-	if cp == nil {
-		return nil
-	}
-	pcs := make([]vector.Compiled, len(centroids))
-	fcs := make([]vector.Compiled, len(centroids))
-	for i, c := range centroids {
-		p, ok := c.(cpoint)
-		if !ok {
-			return nil
-		}
-		pcs[i] = p.pc
-		fcs[i] = p.fc
-	}
-	c1, c2 := m.C1, m.C2
-	if c1 == 0 && c2 == 0 {
-		c1, c2 = 1, 1
-	}
+	pcs, fcs := m.packedCentroids(centroids)
+	c1, c2 := m.weights()
 	return &modelCentroidIndex{
-		cp:    cp,
+		cp:    m.compiled,
 		feats: m.Features,
 		c1:    c1,
 		c2:    c2,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cafc/internal/cluster"
-	"cafc/internal/form"
 	"cafc/internal/webgen"
 )
 
@@ -16,16 +15,7 @@ import (
 // kernels, not the link structure.
 func buildFormsModel(t testing.TB, seed int64, n int) *Model {
 	t.Helper()
-	c := webgen.Generate(webgen.Config{Seed: seed, FormPages: n, FormsOnly: true})
-	fps := make([]*form.FormPage, 0, len(c.FormPages))
-	for _, u := range c.FormPages {
-		fp, err := form.Parse(u, c.ByURL[u].HTML, form.DefaultWeights)
-		if err != nil {
-			t.Fatalf("%s: %v", u, err)
-		}
-		fps = append(fps, fp)
-	}
-	return Build(fps, false)
+	return Build(parseFormsCorpus(t, seed, n), false)
 }
 
 // assertPrunedKernelsMatch runs the exhaustive kernel once and demands

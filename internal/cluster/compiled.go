@@ -72,35 +72,6 @@ func (s *CompiledSpace) NewCentroidIndex(centroids []Point) CentroidIndex {
 	return &compiledCentroidIndex{space: s, post: vector.NewPostings(vs)}
 }
 
-// NewPointSigner implements Signer: single-space SimHash signatures
-// over the packed vectors. Each signer carries its own projection
-// scratch, so the approx kernel allocates one per shard.
-func (s *CompiledSpace) NewPointSigner(bits int, seed int64) PointSigner {
-	h := vector.NewSimHasher(bits, seed)
-	return &compiledSigner{space: s, h: h, acc: make([]float64, h.Bits())}
-}
-
-type compiledSigner struct {
-	space *CompiledSpace
-	h     vector.SimHasher
-	acc   []float64
-}
-
-func (cs *compiledSigner) Words() int { return cs.h.Words() }
-
-func (cs *compiledSigner) SignPoint(dst []uint64, i int) {
-	cs.h.Sign(dst, cs.acc, cs.space.Vecs[i])
-}
-
-func (cs *compiledSigner) SignCentroid(dst []uint64, c Point) bool {
-	cv, ok := c.(vector.Compiled)
-	if !ok {
-		return false
-	}
-	cs.h.Sign(dst, cs.acc, cv)
-	return true
-}
-
 // Blend implements Blender: the convex combination (1−t)·a + t·b on
 // packed vectors — the mini-batch k-means centroid update.
 func (s *CompiledSpace) Blend(a, b Point, t float64) Point {

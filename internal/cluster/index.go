@@ -3,8 +3,9 @@ package cluster
 // CentroidScorer is an optional capability a Space can implement: build
 // a one-shot index over a centroid set so a point can be scored against
 // every centroid at once, cheaper than k independent Sim calls. The
-// k-means kernels, the classifier and the streaming mini-batch pass all
-// probe for it and fall back to plain Sim loops when it is absent.
+// k-means kernels probe for it and fall back to plain Sim loops when it
+// is absent; cafc.Model implements it, and the classifier and the
+// streaming mini-batch pass score through it directly.
 //
 // The contract is strict bit-identity: for every point i and centroid c,
 // the similarity the index produces must equal Sim(Point(i),
@@ -17,8 +18,8 @@ package cluster
 type CentroidScorer interface {
 	Space
 	// NewCentroidIndex indexes the given centroid set. It may return nil
-	// when these particular centroids cannot be indexed (wrong point
-	// representation, engine disabled); callers must handle nil by
+	// when these particular centroids cannot be indexed (a point
+	// representation the space cannot pack); callers must handle nil by
 	// falling back to Sim.
 	NewCentroidIndex(centroids []Point) CentroidIndex
 }

@@ -48,29 +48,6 @@ func TestInstrumentationInert(t *testing.T) {
 	}
 }
 
-// TestInstrumentationInertApprox extends the contract to the candidate
-// tier: an approx run with a registry attached is bit-identical to the
-// nil-registry approx run, and the registry actually receives the
-// candidate/fallback counters (inert with a nil registry, live with
-// one — the same pin TestInstrumentationInert holds for the exact
-// kernels).
-func TestInstrumentationInertApprox(t *testing.T) {
-	space, _ := compiledBlobs(6, 20, 1, 17)
-	for _, workers := range []int{1, 8} {
-		reg := obs.NewRegistry()
-		plain := KMeans(space, 6, nil, Options{Rand: rand.New(rand.NewSource(5)), Workers: workers, Approx: Approx{Enabled: true}})
-		instr := KMeans(space, 6, nil, Options{Rand: rand.New(rand.NewSource(5)), Workers: workers, Approx: Approx{Enabled: true}, Metrics: reg})
-		if !reflect.DeepEqual(plain.Assign, instr.Assign) {
-			t.Errorf("approx workers=%d: instrumented assignments differ from plain", workers)
-		}
-		if plain.Iterations != instr.Iterations {
-			t.Errorf("approx workers=%d: iterations %d != %d", workers, plain.Iterations, instr.Iterations)
-		}
-		assertRecorded(t, reg, "approx_candidates_total", "approx_fallback_total",
-			"distance_computations_total", "kmeans_runs_total")
-	}
-}
-
 // TestInstrumentationInertMiniBatch: same contract for the sampled
 // rebuild path.
 func TestInstrumentationInertMiniBatch(t *testing.T) {

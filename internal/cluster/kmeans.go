@@ -31,14 +31,6 @@ type Options struct {
 	// forces the exhaustive reference kernel. Every mode returns
 	// bit-identical results — see PruneMode.
 	Prune PruneMode
-	// Approx, when Enabled and the space implements Signer, restricts
-	// each point's assignment scan to the top-Candidates centroids by
-	// SimHash signature Hamming distance — the opt-in LSH tier for
-	// large corpora. Unlike Prune this changes results: assignments are
-	// approximate (benchmarks report recall-vs-exact), though still
-	// fully deterministic for a fixed Seed. Ignored (exact kernel per
-	// Prune) when the space cannot sign.
-	Approx Approx
 	// Metrics, when non-nil, receives convergence telemetry (moved
 	// fraction per iteration, phase timings, empty-cluster repairs) and
 	// parallel-kernel shard utilization. Nil disables instrumentation
@@ -196,10 +188,6 @@ func KMeans(s Space, k int, seeds [][]int, opts Options) Result {
 	if reg := opts.Metrics; reg != nil {
 		reg.Counter("distance_computations_total").Add(asg.distTotal())
 		reg.Counter("kmeans_pruned_total").Add(asg.prunedTotal())
-		if aa, ok := asg.(*approxAssigner); ok {
-			reg.Counter("approx_candidates_total").Add(aa.candTotal())
-			reg.Counter("approx_fallback_total").Add(aa.fallbackTotal())
-		}
 	}
 	return Result{Assign: assign, K: k, Iterations: iter, Centroids: centroids}
 }

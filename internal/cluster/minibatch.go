@@ -17,7 +17,7 @@ package cluster
 // per centroid per round instead of one per point) and needs only two
 // Space capabilities: Centroid over the batch members and Blender for
 // the convex combination. Spaces without Blender fall back to full
-// KMeans — approximation is an optimization, never a requirement.
+// KMeans.
 
 // Blender is an optional Space capability: the convex combination
 // (1−t)·a + t·b over centroid representatives. CompiledSpace and
@@ -50,11 +50,10 @@ func (m MiniBatch) withDefaults() MiniBatch {
 
 // MiniBatchKMeans clusters the space into k groups with sampled
 // mini-batch updates, then runs one full assignment pass (through the
-// kernel Options selects, so Approx composes) to produce the final
-// Result over every point. seeds, when non-nil, provides initial
-// clusters exactly as KMeans accepts them. Deterministic for a fixed
-// Options.Rand seed. Falls back to full KMeans when the space does not
-// implement Blender.
+// exact kernel Options.Prune selects) to produce the final Result over
+// every point. seeds, when non-nil, provides initial clusters exactly
+// as KMeans accepts them. Deterministic for a fixed Options.Rand seed.
+// Falls back to full KMeans when the space does not implement Blender.
 func MiniBatchKMeans(s Space, k int, seeds [][]int, opts Options, mb MiniBatch) Result {
 	bl, ok := s.(Blender)
 	if !ok {
@@ -109,8 +108,8 @@ func MiniBatchKMeans(s Space, k int, seeds [][]int, opts Options, mb MiniBatch) 
 		}
 	}
 
-	// Final full assignment through the configured kernel (exact or
-	// approx), one round over frozen centroids.
+	// Final full assignment through the configured exact kernel, one
+	// round over frozen centroids.
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
@@ -149,10 +148,6 @@ func MiniBatchKMeans(s Space, k int, seeds [][]int, opts Options, mb MiniBatch) 
 	if reg := opts.Metrics; reg != nil {
 		reg.Counter("distance_computations_total").Add(b.distTotal() + asg.distTotal())
 		reg.Counter("kmeans_pruned_total").Add(asg.prunedTotal())
-		if aa, ok := asg.(*approxAssigner); ok {
-			reg.Counter("approx_candidates_total").Add(aa.candTotal())
-			reg.Counter("approx_fallback_total").Add(aa.fallbackTotal())
-		}
 	}
 	return Result{Assign: assign, K: k, Iterations: mb.Rounds, Centroids: centroids}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cafc/internal/obs"
 	"cafc/internal/vector"
 )
 
@@ -75,21 +74,6 @@ func TestMiniBatchFallsBackWithoutBlender(t *testing.T) {
 	if !reflect.DeepEqual(ref.Assign, got.Assign) {
 		t.Error("blender-less space: mini-batch did not fall back to KMeans")
 	}
-}
-
-// TestMiniBatchComposesWithApprox: the final full assignment pass goes
-// through the kernel Options selects, so enabling Approx on a signable
-// space records candidate counters and still returns a valid partition.
-func TestMiniBatchComposesWithApprox(t *testing.T) {
-	s, _ := compiledBlobs(6, 30, 1, 51)
-	reg := obs.NewRegistry()
-	opts := approxOpts(5, 1)
-	opts.Metrics = reg
-	res := MiniBatchKMeans(s, 6, nil, opts, MiniBatch{BatchSize: 32, Rounds: 8})
-	if len(res.Assign) != s.Len() {
-		t.Fatalf("assignment covers %d of %d points", len(res.Assign), s.Len())
-	}
-	assertRecorded(t, reg, "minibatch_runs_total", "approx_candidates_total", "distance_computations_total")
 }
 
 // TestBlendCompiledCentroidUpdate sanity-checks the centroid update

@@ -13,8 +13,10 @@ import (
 type PruneMode int
 
 const (
-	// PruneAuto (the zero value) picks the default pruned kernel,
-	// currently Hamerly — pruning is on unless explicitly disabled.
+	// PruneAuto (the zero value) picks by corpus size: the exhaustive
+	// kernel below pruneAutoMinPoints (10000) points, Hamerly at or
+	// above it. String reports it as "hamerly", the kernel it resolves
+	// to when no corpus size is known.
 	PruneAuto PruneMode = iota
 	// PruneOff runs the exhaustive reference kernel: every point scores
 	// every centroid every round.
@@ -30,15 +32,13 @@ const (
 )
 
 // pruneAutoMinPoints is the corpus size below which PruneAuto selects
-// the exhaustive kernel instead of Hamerly. BENCH_scale.json pins the
-// crossover: at 5k pages Hamerly is *slower* than exhaustive (249ms vs
-// 230ms) despite 1.67× fewer distance computations — with small, very
-// sparse points the per-point bound maintenance (drift updates, the
-// extra tightening similarity, branchy rescans) costs more than the
-// merge-join similarities it saves — while at 20k pages Hamerly wins
-// decisively (1418ms vs 2602ms, 3.4× fewer distances). The threshold
-// sits between those measured sizes; TestPruneAutoCrossover pins the
-// selection on both sides.
+// the exhaustive kernel instead of Hamerly. BENCH_scale.json supports
+// only the upper side: at 20k pages Hamerly wins decisively (1169ms vs
+// 2437ms, 3.4× fewer distances). Its 5k row does not support the
+// threshold — Hamerly is faster there too (159ms vs 215ms, 1.67× fewer
+// distances) — so the exhaustive choice below 10000 points rests on no
+// recorded measurement. TestPruneAutoCrossover pins the selection on
+// both sides.
 const pruneAutoMinPoints = 10000
 
 // resolve maps PruneAuto to the concrete default kernel, ignoring the
@@ -113,16 +113,10 @@ type assigner interface {
 	prunedTotal() int64
 }
 
-// newAssigner builds the kernel opts selects: the LSH candidate tier
-// when Options.Approx is enabled and the space can sign, else the exact
-// kernel per opts.Prune (PruneAuto resolving by corpus size). shards is
-// the per-shard slot count (maxShards of the point range).
+// newAssigner builds the kernel opts.Prune selects (PruneAuto resolving
+// by corpus size). shards is the per-shard slot count (maxShards of the
+// point range).
 func newAssigner(s Space, k int, opts Options, shards int) assigner {
-	if opts.Approx.Enabled {
-		if a := newApproxAssigner(s, k, opts, shards); a != nil {
-			return a
-		}
-	}
 	b := newAssignerBase(s, k, opts, shards)
 	switch opts.Prune.resolveFor(s.Len()) {
 	case PruneOff:

@@ -176,3 +176,41 @@ func TestPruneModeString(t *testing.T) {
 		}
 	}
 }
+
+// TestPruneAutoCrossover pins the PruneAuto size heuristic: the
+// exhaustive kernel below pruneAutoMinPoints, Hamerly at or above it.
+// BENCH_scale.json backs only the upper side (Hamerly 1169ms vs
+// exhaustive 2437ms at 20k pages); its 5k row has Hamerly faster too
+// (159ms vs 215ms), so the threshold is not supported by the recorded
+// 5k measurement. Explicit modes are never overridden.
+func TestPruneAutoCrossover(t *testing.T) {
+	if got := PruneAuto.resolveFor(pruneAutoMinPoints - 1); got != PruneOff {
+		t.Errorf("PruneAuto at %d points resolved to %v, want exhaustive", pruneAutoMinPoints-1, got)
+	}
+	if got := PruneAuto.resolveFor(pruneAutoMinPoints); got != PruneHamerly {
+		t.Errorf("PruneAuto at %d points resolved to %v, want hamerly", pruneAutoMinPoints, got)
+	}
+	if got := PruneHamerly.resolveFor(10); got != PruneHamerly {
+		t.Errorf("explicit Hamerly overridden below the threshold: %v", got)
+	}
+	if got := PruneOff.resolveFor(1 << 30); got != PruneOff {
+		t.Errorf("explicit exhaustive overridden above the threshold: %v", got)
+	}
+	// And the assembled kernels agree with the resolution.
+	s, _ := compiledBlobs(4, 20, 1, 9)
+	if _, ok := newAssigner(s, 4, Options{}, 1).(*exhaustiveAssigner); !ok {
+		t.Error("small-corpus PruneAuto did not assemble the exhaustive kernel")
+	}
+}
+
+// blobSeeds returns one two-member seed group per blob for the
+// compiledBlobs/intBlobs layout (blob gi occupies [gi·size, gi·size+size)),
+// pinning a run to the blob basin so quality checks are not confounded
+// by random-init local optima.
+func blobSeeds(g, size int) [][]int {
+	seeds := make([][]int, g)
+	for gi := range seeds {
+		seeds[gi] = []int{gi * size, gi*size + 1}
+	}
+	return seeds
+}

@@ -12,9 +12,8 @@ import (
 )
 
 // EngineRow is one similarity-engine configuration timed on the same
-// CAFC-CH workload: the map-based engine the reproduction started
-// with, the compiled (term-interned packed vector) engine, and the
-// compiled engine with the parallel kernels enabled.
+// CAFC-CH workload: the compiled (term-interned packed vector) engine
+// serial, and with the parallel kernels enabled.
 type EngineRow struct {
 	Engine   string
 	Workers  int
@@ -25,9 +24,9 @@ type EngineRow struct {
 
 // EngineComparison runs the CAFC-CH k-means refinement (identical hub
 // seeds, identical randomness) under each engine configuration and
-// times it. Quality must be engine-invariant — the packed engine
-// computes the same Equation 3 values — so Entropy/FMeasure double as
-// a correctness check, while Millis shows the win. Each configuration
+// times it. Quality must be worker-invariant — the parallel kernels are
+// bit-identical to serial — so Entropy/FMeasure double as a
+// correctness check, while Millis shows the win. Each configuration
 // is run `reps` times (min 1) and the fastest run reported, the usual
 // guard against scheduler noise.
 func EngineComparison(env *Env, reps int) []EngineRow {
@@ -35,15 +34,12 @@ func EngineComparison(env *Env, reps int) []EngineRow {
 		reps = 1
 	}
 	seeds := cafc.SelectHubClusters(env.Model, env.HubClusters, env.K, DefaultMinCard)
-	plain := env.Model.WithEngine(false)
 	cfgs := []struct {
 		name    string
-		m       *cafc.Model
 		workers int
 	}{
-		{"map", plain, 1},
-		{"compiled", env.Model, 1},
-		{"compiled+parallel", env.Model, 0},
+		{"compiled", 1},
+		{"compiled+parallel", 0},
 	}
 	var rows []EngineRow
 	for _, c := range cfgs {
@@ -55,7 +51,7 @@ func EngineComparison(env *Env, reps int) []EngineRow {
 		var res cluster.Result
 		for r := 0; r < reps; r++ {
 			start := time.Now()
-			res = cluster.KMeans(c.m, env.K, seeds, cluster.Options{
+			res = cluster.KMeans(env.Model, env.K, seeds, cluster.Options{
 				Rand:    rand.New(rand.NewSource(1)),
 				Workers: c.workers,
 			})
@@ -76,7 +72,7 @@ func EngineComparison(env *Env, reps int) []EngineRow {
 }
 
 // RenderEngineComparison prints the engine rows with the speedup of
-// each configuration over the first (map-based) row.
+// each configuration over the first (serial) row.
 func RenderEngineComparison(rows []EngineRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-20s %8s %10s %10s %10s %9s\n",

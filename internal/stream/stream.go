@@ -63,11 +63,6 @@ type Config struct {
 	// corpus outgrows full k-means. Rebuilds through this path count in
 	// minibatch_rebuild_total. Nil keeps the exact CAFC-C rebuild.
 	MiniBatchRebuild *cluster.MiniBatch
-	// RebuildApprox composes the LSH candidate tier into rebuild
-	// assignment scans (both the full CAFC-C path and the mini-batch
-	// path's final assignment pass). The zero value keeps assignment
-	// exact.
-	RebuildApprox cluster.Approx
 	// Metrics receives stream telemetry (queue depth, batch latency,
 	// epoch gauge, drift fraction, rebuild and WAL counters). Nil
 	// disables instrumentation.
@@ -780,10 +775,7 @@ func (l *Live) recluster(m *icafc.Model) cluster.Result {
 		if reg := l.cfg.Metrics; reg != nil {
 			reg.Counter("minibatch_rebuild_total").Inc()
 		}
-		return icafc.CAFCCMiniBatch(m, l.cfg.K, rng, *mb, l.cfg.RebuildApprox)
-	}
-	if l.cfg.RebuildApprox.Enabled {
-		return icafc.CAFCCApprox(m, l.cfg.K, rng, l.cfg.RebuildApprox)
+		return icafc.CAFCCMiniBatch(m, l.cfg.K, rng, *mb)
 	}
 	return icafc.CAFCC(m, l.cfg.K, rng)
 }
@@ -835,40 +827,26 @@ func (l *Live) miniBatch(m *icafc.Model, cur *Epoch) (cluster.Result, float64) {
 }
 
 // nearestFn returns a closure mapping a point index to its nearest
-// centroid over the given centroid set. When the model can index the
-// centroids (compiled engine active, packed centroids) every call
-// scores all k centroids through one postings pass into the reusable
-// buffers — no allocations per point; otherwise it falls back to plain
-// per-centroid Sim calls. Both paths compute identical similarities
-// (the index is pinned bit-identical to Sim) and break ties toward the
-// lowest centroid index, so assignments never depend on which path ran.
+// centroid over the given centroid set. Every call scores all k
+// centroids through one postings pass into the reusable buffers — no
+// allocations per point — with similarities bit-identical to Sim (the
+// index contract) and ties broken toward the lowest centroid index.
 func (l *Live) nearestFn(m *icafc.Model, centroids []cluster.Point) func(i int) int {
 	k := len(centroids)
-	if ix := m.NewCentroidIndex(centroids); ix != nil {
-		if cap(l.simsBuf) < k {
-			l.simsBuf = make([]float64, k)
-		}
-		sims := l.simsBuf[:k]
-		if n := ix.ScratchLen(); cap(l.scratchBuf) < n {
-			l.scratchBuf = make([]float64, n)
-		}
-		scratch := l.scratchBuf[:ix.ScratchLen()]
-		return func(i int) int {
-			ix.Sims(sims, scratch, i)
-			best, bestSim := 0, -1.0
-			for c, sim := range sims {
-				if sim > bestSim {
-					best, bestSim = c, sim
-				}
-			}
-			return best
-		}
+	ix := m.NewCentroidIndex(centroids)
+	if cap(l.simsBuf) < k {
+		l.simsBuf = make([]float64, k)
 	}
+	sims := l.simsBuf[:k]
+	if n := ix.ScratchLen(); cap(l.scratchBuf) < n {
+		l.scratchBuf = make([]float64, n)
+	}
+	scratch := l.scratchBuf[:ix.ScratchLen()]
 	return func(i int) int {
+		ix.Sims(sims, scratch, i)
 		best, bestSim := 0, -1.0
-		p := m.Point(i)
-		for c := 0; c < k; c++ {
-			if sim := m.Sim(p, centroids[c]); sim > bestSim {
+		for c, sim := range sims {
+			if sim > bestSim {
 				best, bestSim = c, sim
 			}
 		}

@@ -1,17 +1,23 @@
 #!/usr/bin/env sh
-# Full local verification: vet, build, race-enabled tests (the parallel
-# clustering kernels run under the race detector with Workers > 1), and
-# a single-iteration smoke of the engine benchmarks so the packed/map
-# comparison cannot silently rot.
+# Full local verification: formatting, vet, build, race-enabled tests
+# (the parallel clustering kernels run under the race detector with
+# Workers > 1), and a single-iteration smoke of the engine benchmarks so
+# the packed/map comparison cannot silently rot.
 set -eu
 cd "$(dirname "$0")/.."
 
+# Formatting gate: any file gofmt would rewrite fails the run.
+unformatted=$(gofmt -l $(go list -f '{{.Dir}}' ./...))
+[ -z "$unformatted" ] || { echo "check.sh: gofmt needed on:"; echo "$unformatted"; exit 1; }
 go vet ./...
 go build ./...
 go test -race ./...
+# The clustering kernels shard by GOMAXPROCS when Workers is 0: run them
+# at one and two CPUs so a hard-coded shard count fails on any host.
+go test -race -cpu 1,2 ./internal/cluster
 # Focused race pass over the live-pipeline packages: the streaming
 # ingester, the clustering kernels it drives (including the sharded
-# approx/LSH assignment and mini-batch paths), the incremental model
+# bound-pruned assignment and mini-batch paths), the incremental model
 # with its parallel build, the replication layer (server, tailer and the
 # chaos suite), the search index (concurrent readers over the frozen
 # snapshot while the builder appends), and the observability layer
@@ -52,11 +58,9 @@ go build -o "$tmp/loadgen" ./cmd/loadgen
 # Scale-bench smoke: a 5k-page forms-only corpus through every clustering
 # kernel. scaleBench itself fails the run unless each pruned kernel
 # reproduces the exhaustive assignments byte for byte with strictly fewer
-# distance computations, the parallel model build is bit-identical to the
-# serial reference, and every approx kernel holds the >= 0.99
-# self-consistency recall contract (enforced at n >= 5000, which is why
-# the smoke runs there) — so this guards the pruning, LSH-candidate and
-# parallel-build invariants end to end.
+# distance computations and the parallel model build is bit-identical to
+# the serial reference — so this guards the pruning and parallel-build
+# invariants end to end.
 "$tmp/benchall" -exp scale -sizes 5000 -json "$tmp/BENCH_scale_smoke.json" >/dev/null
 [ -s "$tmp/BENCH_scale_smoke.json" ] || { echo "check.sh: scale smoke wrote no report"; exit 1; }
 
