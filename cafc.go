@@ -43,6 +43,7 @@ import (
 	"cafc/internal/metrics"
 	"cafc/internal/obs"
 	"cafc/internal/retry"
+	"cafc/internal/stream"
 	"cafc/internal/vector"
 	"cafc/internal/webgraph"
 )
@@ -56,11 +57,10 @@ type Registry = obs.Registry
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// Document is one input page: its URL and raw HTML.
-type Document struct {
-	URL  string
-	HTML string
-}
+// Document is one input page: its URL and raw HTML. It is the stream's
+// WAL document type, so live ingestion and recovery pass documents
+// through without copying them.
+type Document = stream.Doc
 
 // Options configures corpus construction.
 type Options struct {

@@ -68,28 +68,28 @@ type liveServer struct {
 	sloIngest   *obs.SLO
 }
 
-// onPublish rebuilds the directory UI for a freshly published epoch and
-// swaps it in. It runs in the ingest worker goroutine; readers keep
-// serving the previous UI until the store below.
+// onPublish serves a freshly published epoch's directory UI from the
+// epoch's own search index and swaps it in, so the live config must set
+// Search. It runs in the ingest worker goroutine; readers keep serving
+// the previous UI until the store below.
 func (ls *liveServer) onPublish(e *cafc.LiveEpoch) {
-	html := make(map[string]string, len(e.Docs))
-	for _, d := range e.Docs {
-		html[d.URL] = d.HTML
-	}
+	h := directory.New(e.SearchIndex, uiLabels(e)).Handler()
+	ls.ui.Store(&h)
+}
+
+// uiLabels names an epoch's clusters for the directory UI. The search
+// index freezes before the epoch swap, so its discriminative labels ride
+// on the epoch — they replace the raw top-term labels wherever available
+// ("cluster 3" → named cluster).
+func uiLabels(e *cafc.LiveEpoch) []string {
 	labels := make([]string, len(e.Clustering.TopTerms))
 	for i, terms := range e.Clustering.TopTerms {
 		labels[i] = strings.Join(terms, " ")
-	}
-	// The search index freezes before the epoch swap, so its
-	// discriminative labels ride on the epoch — they replace the raw
-	// top-term labels wherever available ("cluster 3" → named cluster).
-	for i := range labels {
 		if i < len(e.SearchLabels) && e.SearchLabels[i] != "" {
 			labels[i] = e.SearchLabels[i]
 		}
 	}
-	h := directory.Build(e.Clustering.Clusters, labels, html).Handler()
-	ls.ui.Store(&h)
+	return labels
 }
 
 // handleSearch is the JSON retrieval endpoint: ranked top-k hits with
@@ -150,12 +150,16 @@ func (ls *liveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		docs = []ingestRequest{one}
 	}
-	queued := 0
+	// Validate the whole body first: a bad element must not leave the
+	// elements before it queued behind a 400.
 	for _, d := range docs {
 		if d.URL == "" {
 			http.Error(w, "url required", http.StatusBadRequest)
 			return
 		}
+	}
+	queued := 0
+	for _, d := range docs {
 		if err := ls.live.Ingest(cafc.Document{URL: d.URL, HTML: d.HTML}); err != nil {
 			status := http.StatusServiceUnavailable
 			if errors.Is(err, cafc.ErrBacklog) {

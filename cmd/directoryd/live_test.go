@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"cafc"
+	"cafc/internal/directory"
 	"cafc/internal/obs"
 	"cafc/internal/retry"
 	"cafc/internal/webgen"
@@ -192,13 +195,180 @@ func TestServeWhileIngest(t *testing.T) {
 	}
 }
 
+// TestLiveUIMatchesBuild: the UI onPublish serves from an epoch's search
+// index equals the one directory.Build makes by re-parsing the epoch's
+// HTML. It checks every epoch a leader publishes while ingesting in small
+// batches, and the epoch a recovery of its state directory publishes,
+// whose index is rebuilt from the WAL's HTML.
+func TestLiveUIMatchesBuild(t *testing.T) {
+	c := webgen.Generate(webgen.Config{Seed: 53, FormPages: 48})
+	var docs []cafc.Document
+	for _, u := range c.FormPages {
+		docs = append(docs, cafc.Document{URL: u, HTML: c.ByURL[u].HTML})
+	}
+	genesis := docs[:16]
+	corpus, err := cafc.NewCorpus(genesis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu     sync.Mutex
+		epochs []*cafc.LiveEpoch
+	)
+	cfg := cafc.LiveConfig{
+		K: 4, Seed: 1, BatchSize: 4, FlushInterval: 5 * time.Millisecond, Dir: t.TempDir(),
+		OnPublish: func(e *cafc.LiveEpoch) {
+			mu.Lock()
+			epochs = append(epochs, e)
+			mu.Unlock()
+		},
+		Search: &cafc.SearchConfig{},
+	}
+	live, err := cafc.NewLive(corpus, genesis, corpus.ClusterC(4, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs[16:] {
+		if err := live.Ingest(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := live.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	published := len(epochs)
+	mu.Unlock()
+	if published < 3 || epochs[published-1].Corpus.Len() != len(docs) {
+		t.Fatalf("leader published %d epochs; want several, the last with all %d pages", published, len(docs))
+	}
+
+	recovered, err := cafc.RecoverLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(epochs) != published+1 || epochs[published].Corpus.Len() != len(docs) {
+		t.Fatalf("recovery published %d epochs, want one with %d pages", len(epochs)-published, len(docs))
+	}
+
+	matched := 0
+	for _, e := range epochs {
+		labels := uiLabels(e)
+		html := make(map[string]string, len(e.Docs))
+		for _, d := range e.Docs {
+			html[d.URL] = d.HTML
+		}
+		got := directory.New(e.SearchIndex, labels)
+		want := directory.Build(e.Clustering.Clusters, labels, html)
+		if !reflect.DeepEqual(got.Labels, want.Labels) {
+			t.Fatalf("epoch %d labels %q, Build has %q", e.Epoch, got.Labels, want.Labels)
+		}
+		for i, l := range e.SearchLabels {
+			if l != "" && got.Labels[i] != l {
+				t.Fatalf("epoch %d cluster %d is labeled %q, not its search label %q", e.Epoch, i, got.Labels[i], l)
+			}
+		}
+		if len(got.Clusters) != len(e.Clustering.Clusters) || len(want.Clusters) != len(e.Clustering.Clusters) {
+			t.Fatalf("epoch %d: %d clusters, Build has %d, the clustering %d", e.Epoch, len(got.Clusters), len(want.Clusters), len(e.Clustering.Clusters))
+		}
+		for ci, urls := range e.Clustering.Clusters {
+			if len(got.Clusters[ci]) != len(urls) || len(want.Clusters[ci]) != len(urls) {
+				t.Fatalf("epoch %d cluster %d: %d members, Build has %d, the clustering %d", e.Epoch, ci, len(got.Clusters[ci]), len(want.Clusters[ci]), len(urls))
+			}
+			for i, u := range urls {
+				g, w := got.Clusters[ci][i], want.Clusters[ci][i]
+				if g.URL != u || w.URL != u || g.Title != w.Title {
+					t.Fatalf("epoch %d cluster %d member %d = %q %q, Build has %q %q, the clustering %q", e.Epoch, ci, i, g.URL, g.Title, w.URL, w.Title, u)
+				}
+			}
+		}
+		for _, q := range []string{"hotel", "title", "flight", "job", "car"} {
+			g, w := selectRows(t, got.Handler(), q), selectRows(t, want.Handler(), q)
+			if g != w {
+				t.Fatalf("epoch %d /select?q=%s:\n%s\nBuild serves:\n%s", e.Epoch, q, g, w)
+			}
+			matched += strings.Count(g, "matching sources")
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no query matched any cluster: the /select comparison is vacuous")
+	}
+}
+
+// selectRows returns the database-selection page a directory UI serves
+// for q: its rows are the query's SearchClusters ranking.
+func selectRows(t *testing.T, h http.Handler, q string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/select?q="+q, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/select?q=%s = %d", q, rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// TestIngestRejectsWholeBody: an array with one bad element gets a 400
+// and queues none of its elements, not even those before the bad one.
+func TestIngestRejectsWholeBody(t *testing.T) {
+	ls := &liveServer{}
+	live, err := cafc.NewLive(nil, nil, nil, cafc.LiveConfig{
+		K: 2, BatchSize: 4, FlushInterval: 5 * time.Millisecond,
+		OnPublish: ls.onPublish, Search: &cafc.SearchConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.live = live
+	defer live.Close()
+	ts := httptest.NewServer(ls.mux())
+	defer ts.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const html = `"<form action=\"/q\"><input type=\"text\" name=\"title\"/></form>"`
+
+	if code := post(`[{"url":"http://a.example/","html":` + html + `},{"url":""}]`); code != http.StatusBadRequest {
+		t.Fatalf("POST /ingest with an empty url = %d, want 400", code)
+	}
+	if d := live.Status().QueueDepth; d != 0 {
+		t.Fatalf("queue depth %d after a rejected body, want 0", d)
+	}
+	// The queue is FIFO: once a later document is applied, anything the
+	// rejected body had queued would have been applied with or before it.
+	if code := post(`{"url":"http://b.example/","html":` + html + `}`); code != http.StatusAccepted {
+		t.Fatalf("POST /ingest = %d, want 202", code)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for live.Epoch() == nil && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	e := live.Epoch()
+	if e == nil {
+		t.Fatalf("no epoch after a valid ingest: %+v", live.Status())
+	}
+	if urls := e.Corpus.URLs(); !reflect.DeepEqual(urls, []string{"http://b.example/"}) {
+		t.Fatalf("corpus = %v, want only the valid document", urls)
+	}
+}
+
 // TestColdHealthz pins readiness gating: a cold live server reports 503
 // everywhere until the first epoch is founded by ingest.
 func TestColdHealthz(t *testing.T) {
 	ls := &liveServer{}
 	live, err := cafc.NewLive(nil, nil, nil, cafc.LiveConfig{
 		K: 2, BatchSize: 4, FlushInterval: 5 * time.Millisecond,
-		OnPublish: ls.onPublish,
+		OnPublish: ls.onPublish, Search: &cafc.SearchConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +457,7 @@ func TestHealthzDegradedHTTP(t *testing.T) {
 	cl := corpus.ClusterC(3, 1)
 	reg := obs.NewRegistry()
 	ls := &liveServer{reg: reg}
-	live, err := cafc.NewLive(corpus, docs, cl, cafc.LiveConfig{K: 3, Seed: 1, OnPublish: ls.onPublish})
+	live, err := cafc.NewLive(corpus, docs, cl, cafc.LiveConfig{K: 3, Seed: 1, OnPublish: ls.onPublish, Search: &cafc.SearchConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,6 +513,7 @@ func TestQualityEndpoint(t *testing.T) {
 		K: 3, Seed: 1, BatchSize: 4, FlushInterval: 5 * time.Millisecond,
 		OnPublish: ls.onPublish,
 		Quality:   &cafc.QualityConfig{Labels: labels},
+		Search:    &cafc.SearchConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +567,7 @@ func TestQualityEndpoint(t *testing.T) {
 
 	// Without a monitor the endpoint 404s instead of serving nothing.
 	bare := &liveServer{}
-	bareLive, err := cafc.NewLive(nil, nil, nil, cafc.LiveConfig{K: 2, OnPublish: bare.onPublish})
+	bareLive, err := cafc.NewLive(nil, nil, nil, cafc.LiveConfig{K: 2, OnPublish: bare.onPublish, Search: &cafc.SearchConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}

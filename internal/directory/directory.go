@@ -17,11 +17,9 @@ import (
 	"cafc/internal/search"
 )
 
-// Entry is one hidden-web source in the directory.
-type Entry struct {
-	URL   string
-	Title string
-}
+// Entry is one hidden-web source in the directory: the URL and title
+// its search index stores.
+type Entry = search.Meta
 
 // Server is the directory state behind the HTTP handler.
 type Server struct {
@@ -32,41 +30,38 @@ type Server struct {
 	snap     *search.Snapshot
 }
 
-// Build assembles a directory from cluster member URLs, their HTML
-// bodies, and cluster labels. Pages are indexed through the same
-// Equation-1 term pipeline the model uses (search.PageTerms), so ranked
-// search here scores exactly like the live directory's. Clusters whose
-// provided label is empty get the index's discriminative label instead.
-func Build(clusters [][]string, labels []string, html map[string]string) *Server {
-	s := &Server{}
-	b := search.NewBuilder(nil)
-	var assign []int
-	for ci, members := range clusters {
-		label := ""
-		if ci < len(labels) {
-			label = labels[ci]
+// New serves a directory from a frozen search index: the clusters and
+// their member titles come from the snapshot's assignment, and clusters
+// whose provided label is empty get the index's discriminative label
+// instead.
+func New(snap *search.Snapshot, labels []string) *Server {
+	s := &Server{Clusters: snap.Members(), snap: snap}
+	for i, label := range snap.ClusterLabels() {
+		if i < len(labels) && labels[i] != "" {
+			label = labels[i]
 		}
 		s.Labels = append(s.Labels, label)
-		var entries []Entry
-		for _, u := range members {
-			title, terms := search.PageTerms(u, html[u], form.DefaultWeights)
-			entries = append(entries, Entry{URL: u, Title: title})
-			b.Add(u, title, terms)
-			assign = append(assign, ci)
-		}
-		s.Clusters = append(s.Clusters, entries)
-	}
-	s.snap = b.Freeze(1, assign, len(clusters), search.Options{})
-	for i, auto := range s.snap.ClusterLabels() {
-		if i < len(s.Labels) && s.Labels[i] == "" {
-			s.Labels[i] = auto
-		}
 	}
 	return s
 }
 
-// Snapshot returns the directory's frozen search index.
-func (s *Server) Snapshot() *search.Snapshot { return s.snap }
+// Build assembles a directory from cluster member URLs, their HTML
+// bodies, and cluster labels. Pages are indexed through the same
+// Equation-1 term pipeline the model uses (search.PageTerms), so ranked
+// search here scores exactly like the live directory's; the frozen index
+// is then served through New.
+func Build(clusters [][]string, labels []string, html map[string]string) *Server {
+	b := search.NewBuilder(nil)
+	var assign []int
+	for ci, members := range clusters {
+		for _, u := range members {
+			title, terms := search.PageTerms(u, html[u], form.DefaultWeights)
+			b.Add(u, title, terms)
+			assign = append(assign, ci)
+		}
+	}
+	return New(b.Freeze(1, assign, len(clusters), search.Options{}), labels)
+}
 
 // Handler returns the HTTP handler:
 //

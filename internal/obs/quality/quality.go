@@ -321,73 +321,37 @@ func (m *Monitor) Sample() []int {
 }
 
 // sampledSilhouette is the silhouette coefficient restricted to the
-// sample: for each sampled point, a is the mean distance to same-cluster
-// sample peers and b the smallest mean distance to another cluster's
-// sample members. Points whose cluster has no sampled peer contribute 0,
-// matching the singleton convention of cluster.Silhouette.
+// sample: cluster.Silhouette over the sampled pages, in reservoir order.
+// Pages beyond the assignment count as unassigned, so they score nothing.
 func sampledSilhouette(s cluster.Space, assign []int, k int, sample []int) float64 {
-	if len(sample) == 0 || k <= 0 {
-		return 0
-	}
-	pts := make([]cluster.Point, len(sample))
-	byCluster := make([][]int, k) // positions into sample, per cluster
-	counted := 0
+	sub := make([]int, len(sample))
 	for pos, idx := range sample {
-		if idx >= len(assign) {
-			continue
-		}
-		c := assign[idx]
-		if c < 0 || c >= k {
-			continue
-		}
-		pts[pos] = s.Point(idx)
-		byCluster[c] = append(byCluster[c], pos)
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	dist := func(i, j int) float64 { return cluster.Dist(s.Sim(pts[i], pts[j])) }
-
-	var total float64
-	for c := 0; c < k; c++ {
-		for _, pos := range byCluster[c] {
-			own := byCluster[c]
-			if len(own) <= 1 {
-				continue // no sampled peer: contributes 0
-			}
-			var a float64
-			for _, peer := range own {
-				if peer != pos {
-					a += dist(pos, peer)
-				}
-			}
-			a /= float64(len(own) - 1)
-			b := -1.0
-			for oc := 0; oc < k; oc++ {
-				if oc == c || len(byCluster[oc]) == 0 {
-					continue
-				}
-				var d float64
-				for _, peer := range byCluster[oc] {
-					d += dist(pos, peer)
-				}
-				d /= float64(len(byCluster[oc]))
-				if b < 0 || d < b {
-					b = d
-				}
-			}
-			if b < 0 {
-				continue // single non-empty cluster in the sample
-			}
-			max := a
-			if b > max {
-				max = b
-			}
-			if max > 0 {
-				total += (b - a) / max
-			}
+		sub[pos] = -1
+		if idx < len(assign) {
+			sub[pos] = assign[idx]
 		}
 	}
-	return total / float64(counted)
+	return cluster.Silhouette(sampleSpace{space: s, pages: sample}, sub, k)
 }
+
+// sampleSpace views a sample of a space's objects as a space of its own:
+// object i is page pages[i]. The space is a named field, not embedded, so
+// no method of the whole space can read sample positions as page indices.
+type sampleSpace struct {
+	space cluster.Space
+	pages []int
+}
+
+func (v sampleSpace) Len() int { return len(v.pages) }
+
+func (v sampleSpace) Point(i int) cluster.Point { return v.space.Point(v.pages[i]) }
+
+func (v sampleSpace) Centroid(members []int) cluster.Point {
+	pages := make([]int, len(members))
+	for i, m := range members {
+		pages[i] = v.pages[m]
+	}
+	return v.space.Centroid(pages)
+}
+
+func (v sampleSpace) Sim(a, b cluster.Point) float64 { return v.space.Sim(a, b) }

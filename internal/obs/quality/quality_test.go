@@ -2,6 +2,7 @@ package quality
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -86,6 +87,56 @@ func TestSampledSilhouetteMatchesExact(t *testing.T) {
 	}
 	if snap.Silhouette < 0.5 {
 		t.Fatalf("two separated blobs scored silhouette %v, want > 0.5", snap.Silhouette)
+	}
+}
+
+// TestSampledSilhouettePartialCoverage: when the reservoir holds only
+// part of the corpus, the monitor's silhouette is the exact silhouette
+// of the sampled pages alone. The sum runs in reservoir order rather
+// than page order, hence the tolerance.
+func TestSampledSilhouettePartialCoverage(t *testing.T) {
+	const n, k = 120, 3
+	vocab := [][]string{{"car", "engine"}, {"book", "author"}, {"hotel", "room"}}
+	vecs := make([]vector.Vector, n)
+	assign := make([]int, n)
+	for i := range vecs {
+		own, other := vocab[i%k], vocab[(i+1)%k]
+		vecs[i] = vector.Vector{
+			own[0]:                  1 + float64(i%7)/10,
+			own[1]:                  0.5,
+			other[i%2]:              float64(i%5) / 8,
+			fmt.Sprintf("v%d", i%9): 0.3,
+		}
+		// Every seventh page sits in the wrong cluster and every
+		// eleventh is unassigned, so the coefficients vary in sign.
+		switch {
+		case i%11 == 0:
+			assign[i] = -1
+		case i%7 == 0:
+			assign[i] = (i + 1) % k
+		default:
+			assign[i] = i % k
+		}
+	}
+	s := &cluster.VectorSpace{Vecs: vecs}
+	m := New(Config{SampleSize: 40, Seed: 11})
+	snap := m.ObserveEpoch(Epoch{Seq: 1, Space: s, Assign: assign, K: k}, t0)
+
+	sample := m.Sample()
+	if len(sample) != 40 || snap.SampleSize != 40 {
+		t.Fatalf("sample holds %d pages (snapshot %d), want 40", len(sample), snap.SampleSize)
+	}
+	subVecs := make([]vector.Vector, len(sample))
+	subAssign := make([]int, len(sample))
+	for i, idx := range sample {
+		subVecs[i], subAssign[i] = vecs[idx], assign[idx]
+	}
+	want := cluster.Silhouette(&cluster.VectorSpace{Vecs: subVecs}, subAssign, k)
+	if math.Abs(snap.Silhouette-want) > 1e-12 {
+		t.Fatalf("sampled silhouette %v, exact over the sample %v", snap.Silhouette, want)
+	}
+	if whole := cluster.Silhouette(s, assign, k); snap.Silhouette == whole {
+		t.Fatalf("sampled silhouette equals the whole corpus's (%v): the sample is not what was scored", whole)
 	}
 }
 

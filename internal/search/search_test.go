@@ -370,6 +370,31 @@ func TestClusterLabelsDiscriminative(t *testing.T) {
 	}
 }
 
+// TestMembers: each cluster lists its documents in document order, and
+// documents assigned outside [0, k) belong to none.
+func TestMembers(t *testing.T) {
+	b := NewBuilder(nil)
+	for _, d := range corpusDocs() {
+		b.Add(d.url, d.title, d.terms)
+	}
+	s := b.Freeze(1, []int{1, 0, -1, 1, 2, 0, 1}, 2, Options{})
+	var got [][]string
+	for _, members := range s.Members() {
+		var row []string
+		for _, m := range members {
+			row = append(row, m.URL+" "+m.Title)
+		}
+		got = append(got, row)
+	}
+	want := [][]string{
+		{"u/h2 City Hotels", "u/f3 Airline Tickets"},
+		{"u/h1 Hotel Rooms", "u/f1 Cheap Flights", "u/x1 Hotel Flight Bundles"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Members = %q, want %q", got, want)
+	}
+}
+
 func TestSurfaceFormsInLabels(t *testing.T) {
 	// Titles carry the display forms: "Flights" survives stemming
 	// ("flight") and resurfaces in labels via the first-seen title token.

@@ -77,6 +77,19 @@ func (s *Snapshot) Terms() int { return len(s.post) }
 // at freeze time (top in-cluster vs. background terms, surfaced).
 func (s *Snapshot) ClusterLabels() []string { return s.labels }
 
+// Members returns each cluster's documents (URL and title) in document
+// order, taken from the frozen assignment. Documents assigned outside
+// [0, k) belong to no cluster.
+func (s *Snapshot) Members() [][]Meta {
+	out := make([][]Meta, s.k)
+	for d, c := range s.assign {
+		if c >= 0 && c < s.k {
+			out[c] = append(out[c], s.docs[d])
+		}
+	}
+	return out
+}
+
 // idf is Equation 1's corpus factor resolved against this snapshot:
 // log(1 + N/n_t). The +1 keeps single-document corpora searchable, as
 // the legacy index did.

@@ -50,11 +50,6 @@ type Config struct {
 	// Uniform disables location differentiation for ingested pages
 	// (must match the model being grown).
 	Uniform bool
-	// SkipNonSearchable drops documents without a searchable form
-	// (counted, not fatal). When false such documents are also only
-	// counted — a stream must not die on one bad page — but land in
-	// the skipped counter either way.
-	SkipNonSearchable bool
 	// MiniBatchRebuild, when set, replaces the drift-triggered full
 	// re-cluster's Lloyd iterations with sampled mini-batch k-means
 	// (cluster.MiniBatchKMeans): O(rounds · batch · k) updates plus one

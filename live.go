@@ -120,7 +120,8 @@ type LiveEpoch struct {
 	Corpus *Corpus
 	// Clustering is the epoch's clustering with per-cluster top terms.
 	Clustering *Clustering
-	// Docs holds the admitted documents (URL + HTML) in corpus order.
+	// Docs holds the admitted documents (URL + HTML) in corpus order. The
+	// slice is the pipeline's own epoch slice: read it, never modify it.
 	Docs []Document
 	// Rebuilt marks epochs produced by a full re-cluster (drift or
 	// forced) rather than a mini-batch assignment.
@@ -130,6 +131,11 @@ type LiveEpoch struct {
 	// to OnPublish observers even during construction, before the Live
 	// handle exists.
 	SearchLabels []string
+	// SearchIndex is the epoch's frozen search index (nil without
+	// LiveConfig.Search). It holds every admitted page's URL, title and
+	// cluster, so serving layers render the directory from it instead of
+	// re-parsing Docs.
+	SearchIndex *SearchSnapshot
 
 	classifier *icafc.Classifier
 }
@@ -240,7 +246,7 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 		}
 		genesis = genesisEpoch(corpus, docs, cl)
 		if l.store != nil {
-			if err := l.store.Append(stream.Record{Docs: toStreamDocs(docs)}); err != nil {
+			if err := l.store.Append(stream.Record{Docs: docs}); err != nil {
 				l.store.Close()
 				return nil, err
 			}
@@ -417,20 +423,19 @@ func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stre
 		k = 8
 	}
 	scfg := stream.Config{
-		K:                 k,
-		Seed:              cfg.Seed,
-		QueueSize:         cfg.QueueSize,
-		BatchSize:         cfg.BatchSize,
-		FlushInterval:     cfg.FlushInterval,
-		DriftThreshold:    cfg.DriftThreshold,
-		Weights:           corpus.weights,
-		Uniform:           corpus.model.Uniform,
-		SkipNonSearchable: corpus.skipNonSearchable,
-		Metrics:           corpus.model.Metrics,
-		Store:             store,
-		SnapshotEvery:     cfg.SnapshotEvery,
-		IngestWorkers:     cfg.IngestWorkers,
-		CommitWindow:      cfg.CommitWindow,
+		K:              k,
+		Seed:           cfg.Seed,
+		QueueSize:      cfg.QueueSize,
+		BatchSize:      cfg.BatchSize,
+		FlushInterval:  cfg.FlushInterval,
+		DriftThreshold: cfg.DriftThreshold,
+		Weights:        corpus.weights,
+		Uniform:        corpus.model.Uniform,
+		Metrics:        corpus.model.Metrics,
+		Store:          store,
+		SnapshotEvery:  cfg.SnapshotEvery,
+		IngestWorkers:  cfg.IngestWorkers,
+		CommitWindow:   cfg.CommitWindow,
 	}
 	if !l.follower {
 		// Group commit is leader-only (the stream layer enforces this for
@@ -475,14 +480,15 @@ func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stre
 			snap = l.search.snap.Load()
 		}
 		// The expensive public view (clustering maps, top-term labels,
-		// classifier, document copies — all O(corpus)) materializes on
-		// the first Epoch() read, not here: during bulk ingest most
-		// epochs are superseded before anyone looks at them, and the
-		// ingest worker should only ever pay O(batch) per publish.
+		// classifier — all O(corpus)) materializes on the first Epoch()
+		// read, not here: during bulk ingest most epochs are superseded
+		// before anyone looks at them, and the ingest worker should only
+		// ever pay O(batch) per publish.
 		cell := &epochCell{conv: func() *LiveEpoch {
 			le := convertEpoch(e, l.weights, l.retry, l.skip)
 			if snap != nil {
 				le.SearchLabels = snap.ClusterLabels()
+				le.SearchIndex = snap
 			}
 			return le
 		}}
@@ -533,7 +539,7 @@ func qualityEpoch(e *stream.Epoch) quality.Epoch {
 // Ingest offers one document to the stream; it never blocks (ErrBacklog
 // on a full queue, ErrDraining during shutdown).
 func (l *Live) Ingest(d Document) error {
-	return l.inner.Ingest(stream.Doc{URL: d.URL, HTML: d.HTML})
+	return l.inner.Ingest(d)
 }
 
 // Epoch returns the latest published epoch, or nil before the first
@@ -662,7 +668,7 @@ func convertEpoch(e *stream.Epoch, w form.Weights, r *Retry, skip bool) *LiveEpo
 		Epoch:      e.Seq,
 		Corpus:     c,
 		Clustering: cl,
-		Docs:       toDocuments(e.Docs),
+		Docs:       e.Docs,
 		Rebuilt:    e.Rebuilt,
 		classifier: icafc.NewClassifierFromCentroids(e.Model, e.Result.Centroids, labels),
 	}
@@ -710,22 +716,6 @@ func matchDocList(urls []string, docs []Document) []stream.Doc {
 	out := make([]stream.Doc, len(urls))
 	for i, u := range urls {
 		out[i] = stream.Doc{URL: u, HTML: byURL[u]}
-	}
-	return out
-}
-
-func toStreamDocs(docs []Document) []stream.Doc {
-	out := make([]stream.Doc, len(docs))
-	for i, d := range docs {
-		out[i] = stream.Doc{URL: d.URL, HTML: d.HTML}
-	}
-	return out
-}
-
-func toDocuments(docs []stream.Doc) []Document {
-	out := make([]Document, len(docs))
-	for i, d := range docs {
-		out[i] = Document{URL: d.URL, HTML: d.HTML}
 	}
 	return out
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Full local verification: formatting, vet, build, race-enabled tests
 # (the parallel clustering kernels run under the race detector with
-# Workers > 1), and a single-iteration smoke of the engine benchmarks so
-# the packed/map comparison cannot silently rot.
+# Workers > 1), a single-iteration smoke of the engine benchmarks so they
+# cannot silently rot, and end-to-end smokes of directoryd in static,
+# live and replicated mode.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -116,7 +117,8 @@ dpid=""
 
 # Live-ingest smoke: start directoryd in streaming mode with a durable
 # state dir, assert readiness, POST a page through /ingest and watch the
-# model epoch advance in /status.
+# model epoch advance in /status, then check that the directory UI lists
+# the new page and serves cluster pages and database selection.
 "$tmp/directoryd" -live -in "$tmp/corpus.json.gz" -data "$tmp/state" \
     -addr 127.0.0.1:0 -k 4 -flush 50ms >"$tmp/directoryd3.log" 2>&1 &
 dpid=$!
@@ -130,6 +132,8 @@ done
 curl -fsS "http://$addr/healthz" >/dev/null || { echo "check.sh: live /healthz not ready with a genesis corpus"; exit 1; }
 epoch0=$(curl -fsS "http://$addr/status" | sed -n 's/.*"Epoch":\([0-9]*\).*/\1/p')
 [ -n "$epoch0" ] || { echo "check.sh: /status returned no epoch"; exit 1; }
+pages0=$(curl -fsS "http://$addr/status" | sed -n 's/.*"Pages":\([0-9]*\).*/\1/p')
+[ -n "$pages0" ] || { echo "check.sh: /status returned no page count"; exit 1; }
 curl -fsS -X POST "http://$addr/ingest" -H 'Content-Type: application/json' \
     -d '{"url":"http://smoke.example/","html":"<form action=\"/q\"><input type=\"text\" name=\"title\"/></form>"}' >/dev/null \
     || { echo "check.sh: POST /ingest failed"; exit 1; }
@@ -140,7 +144,20 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [ "$epoch1" -gt "$epoch0" ] || { echo "check.sh: epoch did not advance after /ingest ($epoch0 -> $epoch1)"; cat "$tmp/directoryd3.log"; exit 1; }
-curl -fsS "http://$addr/" >/dev/null || { echo "check.sh: live directory UI not serving"; exit 1; }
+# The UI swaps in just after /status advances: poll until the front
+# page's cluster sizes add up to the genesis plus the ingested page.
+listed=0
+for _ in $(seq 1 50); do
+    listed=$(curl -fsS "http://$addr/" | sed -n 's/.*(\([0-9]*\) databases).*/\1/p' | awk '{ n += $1 } END { print n + 0 }')
+    [ "$listed" -eq $((pages0 + 1)) ] && break
+    sleep 0.2
+done
+[ "$listed" -eq $((pages0 + 1)) ] || {
+    echo "check.sh: live front page lists $listed databases, want $((pages0 + 1)) (genesis $pages0 + 1 ingested)"; exit 1; }
+curl -fsS "http://$addr/cluster?id=0" | grep -q '<li><a href=' || {
+    echo "check.sh: live /cluster?id=0 lists no member"; exit 1; }
+curl -fsS "http://$addr/select?q=hotel" | grep -q 'matching sources' || {
+    echo "check.sh: live /select?q=hotel found no matching sources"; exit 1; }
 kill "$dpid"
 dpid=""
 
@@ -278,6 +295,18 @@ curl -fsS -X POST "http://$faddr/classify" -H 'Content-Type: application/json' -
 cmp -s "$tmp/classify_leader.json" "$tmp/classify_follower.json" || {
     echo "check.sh: follower /classify diverged from leader"
     cat "$tmp/classify_leader.json" "$tmp/classify_follower.json"; exit 1; }
+# The front pages must match as well, once both UIs have swapped to the
+# converged epoch (each swaps in just after its /status advances).
+same=""
+for _ in $(seq 1 50); do
+    curl -fsS "http://$laddr/" >"$tmp/front_leader.html"
+    curl -fsS "http://$faddr/" >"$tmp/front_follower.html"
+    cmp -s "$tmp/front_leader.html" "$tmp/front_follower.html" && { same=1; break; }
+    sleep 0.2
+done
+[ -n "$same" ] || {
+    echo "check.sh: follower front page diverged from leader"
+    cat "$tmp/front_leader.html" "$tmp/front_follower.html"; exit 1; }
 curl -fsS "http://$faddr/healthz" >/dev/null || { echo "check.sh: follower /healthz not ok at lag 0"; exit 1; }
 curl -fsS "http://$faddr/metrics" >"$tmp/metrics5.txt"
 grep -q '^replication_lag_epochs 0$' "$tmp/metrics5.txt" || {

@@ -22,14 +22,16 @@ type SearchConfig struct {
 	MaxFacets int
 }
 
-// SearchHit, SearchFacet, SearchResult and SearchClusterHit re-export
-// the retrieval types at the public surface, as QualitySnapshot does
-// for the quality monitor.
+// SearchHit, SearchFacet, SearchResult, SearchClusterHit and
+// SearchSnapshot (one epoch's frozen index) re-export the retrieval
+// types at the public surface, as QualitySnapshot does for the quality
+// monitor.
 type (
 	SearchHit        = search.Hit
 	SearchFacet      = search.Facet
 	SearchResult     = search.Result
 	SearchClusterHit = search.ClusterHit
+	SearchSnapshot   = search.Snapshot
 )
 
 // ErrSearchDisabled is returned by Search on a Live built without
