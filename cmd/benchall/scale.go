@@ -25,15 +25,6 @@ import (
 // TestBuildParallelBitIdentical.
 const serialCheckMax = 50000
 
-// exactKernelMax bounds the corpus size at which the exhaustive and
-// bound-pruned kernels (and everything referenced against their shared
-// assignment) still run: every exact kernel is O(iterations * n * k)
-// with full convergence, which at a million pages is hours of
-// single-kernel wall-clock for a number the smaller sizes already pin.
-// Above it the sweep records only mini-batch, whose self-recall check
-// does not need the exhaustive reference.
-const exactKernelMax = 200000
-
 // scaleKernel is one kernel measurement at one corpus size.
 type scaleKernel struct {
 	Kernel     string `json:"kernel"`
@@ -47,16 +38,8 @@ type scaleKernel struct {
 	// PerIterReduction is the exhaustive per-pass cost (n*k) divided by
 	// this kernel's mean distance computations per assignment pass — the
 	// per-pass speedup curve, independent of how many rounds each
-	// trajectory takes. 0 for the mini-batch kernel, whose sampled
-	// rounds make a per-pass mean meaningless.
+	// trajectory takes.
 	PerIterReduction float64 `json:"distance_reduction_per_iter,omitempty"`
-	// Recall is the self-consistency recall of a kernel: the fraction of
-	// points whose final assignment is the exact lowest-index argmax
-	// over the run's own final centroids. 1.0 for every exact kernel
-	// (they are bit-identical to exhaustive, checked below), and for
-	// mini-batch by construction (its final pass is exact) — computed
-	// there anyway as a live check.
-	Recall float64 `json:"recall"`
 }
 
 // scaleSize is every measurement for one corpus size.
@@ -92,13 +75,12 @@ type scaleReport struct {
 	Sizes    []scaleSize `json:"sizes"`
 }
 
-// scaleBench measures the exact (pruned) kernels and the mini-batch
-// kernel against the exhaustive reference on forms-only corpora of the
-// given sizes, plus the model build (parallel vs serial) and the
-// classify serve path. Every exact pruned run is checked byte-identical
-// to the exhaustive assignment and strictly cheaper in distance
-// computations; a violation is an error, so CI smokes fail loudly
-// instead of recording a regression.
+// scaleBench measures the bound-pruned kernel against the exhaustive
+// reference on forms-only corpora of the given sizes, plus the model
+// build (parallel vs serial) and the classify serve path. Every pruned
+// run is checked byte-identical to the exhaustive assignment and
+// strictly cheaper in distance computations; a violation is an error,
+// so CI smokes fail loudly instead of recording a regression.
 func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 	rep := scaleReport{Seed: seed, MoveFrac: 1e-12}
 	k := len(webgen.Domains)
@@ -146,78 +128,40 @@ func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 			}
 		}
 
-		runExact := n <= exactKernelMax
 		var ref cluster.Result
-		var exhaustive int64
-		if runExact {
-			for _, prune := range []cluster.PruneMode{cluster.PruneOff, cluster.PruneHamerly, cluster.PruneElkan} {
-				reg := obs.NewRegistry()
-				t1 := time.Now()
-				res := cluster.KMeans(m, k, nil, cluster.Options{
-					Rand: rand.New(rand.NewSource(seed)), Prune: prune,
-					MoveFrac: rep.MoveFrac, Metrics: reg,
-				})
-				kr := scaleKernel{
-					Kernel:     prune.String(),
-					Millis:     time.Since(t1).Milliseconds(),
-					Iterations: res.Iterations,
-					Distances:  counterValue(reg, "distance_computations_total"),
-					Pruned:     counterValue(reg, "kmeans_pruned_total"),
-					Recall:     1,
-				}
-				kr.PerIterReduction = perIterReduction(n, k, kr.Iterations, kr.Distances)
-				if prune == cluster.PruneOff {
-					ref = res
-					kr.Kernel = "off"
-					kr.Reduction = 1
-				} else {
-					if !reflect.DeepEqual(ref.Assign, res.Assign) {
-						return rep, fmt.Errorf("n=%d prune=%s: assignments differ from exhaustive", n, prune)
-					}
-					if res.Iterations != ref.Iterations {
-						return rep, fmt.Errorf("n=%d prune=%s: iterations %d != exhaustive %d", n, prune, res.Iterations, ref.Iterations)
-					}
-					if kr.Distances >= row.Kernels[0].Distances {
-						return rep, fmt.Errorf("n=%d prune=%s: %d distance computations, not below exhaustive %d",
-							n, prune, kr.Distances, row.Kernels[0].Distances)
-					}
-					kr.Reduction = float64(row.Kernels[0].Distances) / float64(kr.Distances)
-				}
-				printKernelRow(n, kr)
-				row.Kernels = append(row.Kernels, kr)
-			}
-			exhaustive = row.Kernels[0].Distances
-		} else {
-			fmt.Printf("# n=%d: exact kernels skipped above %d pages — minibatch only\n",
-				n, exactKernelMax)
-		}
-
-		// Mini-batch: sampled update rounds plus one exact full assignment
-		// pass, so its recall over its own centroids is 1.0 by
-		// construction — computed anyway as a live check.
-		{
+		for _, prune := range []cluster.PruneMode{cluster.PruneOff, cluster.PruneHamerly} {
 			reg := obs.NewRegistry()
 			t1 := time.Now()
-			res := cluster.MiniBatchKMeans(m, k, nil, cluster.Options{
-				Rand: rand.New(rand.NewSource(seed)), MoveFrac: rep.MoveFrac, Metrics: reg,
-			}, cluster.MiniBatch{})
+			res := cluster.KMeans(m, k, nil, cluster.Options{
+				Rand: rand.New(rand.NewSource(seed)), Prune: prune,
+				MoveFrac: rep.MoveFrac, Metrics: reg,
+			})
 			kr := scaleKernel{
-				Kernel:     "minibatch",
+				Kernel:     prune.String(),
 				Millis:     time.Since(t1).Milliseconds(),
 				Iterations: res.Iterations,
 				Distances:  counterValue(reg, "distance_computations_total"),
+				Pruned:     counterValue(reg, "kmeans_pruned_total"),
 			}
-			if exhaustive > 0 {
-				kr.Reduction = float64(exhaustive) / float64(kr.Distances)
+			kr.PerIterReduction = perIterReduction(n, k, kr.Iterations, kr.Distances)
+			if prune == cluster.PruneOff {
+				ref = res
+				kr.Reduction = 1
+			} else {
+				if !reflect.DeepEqual(ref.Assign, res.Assign) {
+					return rep, fmt.Errorf("n=%d prune=%s: assignments differ from exhaustive", n, prune)
+				}
+				if res.Iterations != ref.Iterations {
+					return rep, fmt.Errorf("n=%d prune=%s: iterations %d != exhaustive %d", n, prune, res.Iterations, ref.Iterations)
+				}
+				if kr.Distances >= row.Kernels[0].Distances {
+					return rep, fmt.Errorf("n=%d prune=%s: %d distance computations, not below exhaustive %d",
+						n, prune, kr.Distances, row.Kernels[0].Distances)
+				}
+				kr.Reduction = float64(row.Kernels[0].Distances) / float64(kr.Distances)
 			}
-			kr.Recall = assignmentRecall(m, res)
 			printKernelRow(n, kr)
 			row.Kernels = append(row.Kernels, kr)
-			if !runExact {
-				// No exhaustive reference at this size: the serve-path bench
-				// below classifies against the mini-batch clustering instead.
-				ref = res
-			}
 		}
 
 		// Serve-path throughput: classify one held-out page against the
@@ -242,30 +186,6 @@ func perIterReduction(n, k, iters int, dist int64) float64 {
 		return 0
 	}
 	return float64(n) * float64(k) * float64(iters) / float64(dist)
-}
-
-// assignmentRecall is the self-consistency recall of a clustering
-// result: the fraction of points whose recorded assignment equals the
-// exact lowest-index argmax over the result's own final centroids. An
-// exact kernel scores 1.0 by definition.
-func assignmentRecall(m *icafc.Model, res cluster.Result) float64 {
-	idx := m.NewCentroidIndex(res.Centroids)
-	sims := make([]float64, res.K)
-	scratch := make([]float64, idx.ScratchLen())
-	same := 0
-	for i := range res.Assign {
-		idx.Sims(sims, scratch, i)
-		best, bestSim := -1, -1.0
-		for c, s := range sims {
-			if s > bestSim {
-				best, bestSim = c, s
-			}
-		}
-		if best == res.Assign[i] {
-			same++
-		}
-	}
-	return float64(same) / float64(len(res.Assign))
 }
 
 // benchClassify measures one classifier's steady-state Classify cost.
@@ -336,14 +256,14 @@ func histogramSumMillis(reg *obs.Registry, name string) int64 {
 // the better part of an hour, and a contract violation should leave
 // every number measured before it on the terminal.
 func printKernelHeader() {
-	fmt.Printf("%10s %12s %6s %12s %14s %12s %10s %10s %8s\n",
-		"formPages", "kernel", "iters", "ms", "distances", "pruned", "reduction", "perpass", "recall")
+	fmt.Printf("%10s %12s %6s %12s %14s %12s %10s %10s\n",
+		"formPages", "kernel", "iters", "ms", "distances", "pruned", "reduction", "perpass")
 }
 
 func printKernelRow(n int, kr scaleKernel) {
-	fmt.Printf("%10d %12s %6d %12d %14d %12d %9.2fx %9.2fx %8.4f\n",
+	fmt.Printf("%10d %12s %6d %12d %14d %12d %9.2fx %9.2fx\n",
 		n, kr.Kernel, kr.Iterations, kr.Millis, kr.Distances, kr.Pruned,
-		kr.Reduction, kr.PerIterReduction, kr.Recall)
+		kr.Reduction, kr.PerIterReduction)
 }
 
 // writeScaleJSON writes the JSON report to path (the table itself is

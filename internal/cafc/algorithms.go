@@ -20,14 +20,6 @@ func CAFCC(m *Model, k int, rng *rand.Rand) cluster.Result {
 	return cluster.KMeans(m, k, nil, m.clusterOpts(rng))
 }
 
-// CAFCCMiniBatch is the sampled-update variant of CAFC-C for corpora
-// where full Lloyd iterations no longer fit the rebuild budget: the
-// streaming layer's drift-triggered re-cluster path runs this instead
-// of CAFCC when Config.MiniBatchRebuild is set.
-func CAFCCMiniBatch(m *Model, k int, rng *rand.Rand, mb cluster.MiniBatch) cluster.Result {
-	return cluster.MiniBatchKMeans(m, k, nil, m.clusterOpts(rng), mb)
-}
-
 // CAFCCSeeded runs the CAFC-C k-means loop from explicit seed groups
 // (Algorithm 2 line 3 calls this with hub clusters; Section 4.3 calls it
 // with HAC-derived seeds).

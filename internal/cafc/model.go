@@ -338,17 +338,6 @@ func (m *Model) CentroidWith(members []int, pacc, facc *vector.Accumulator) clus
 	return cpoint{pc: pacc.Compile(f), fc: facc.Compile(f)}
 }
 
-// Blend implements cluster.Blender: the convex combination
-// (1−t)·a + t·b, applied per feature space on packed vectors — the
-// mini-batch k-means centroid update.
-func (m *Model) Blend(a, b cluster.Point, t float64) cluster.Point {
-	ca, cb := m.packed(a), m.packed(b)
-	return cpoint{
-		pc: vector.BlendCompiled(ca.pc, cb.pc, t),
-		fc: vector.BlendCompiled(ca.fc, cb.fc, t),
-	}
-}
-
 // CentroidTopTerms returns the top-n PC-space terms of the members'
 // mean vector on the compiled engine, without materializing a map
 // vector — the cluster-labeling hot path (the map detour used to cost

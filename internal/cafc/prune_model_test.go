@@ -25,7 +25,7 @@ func buildFormsModel(t testing.TB, seed int64, n int) *Model {
 func assertPrunedKernelsMatch(t *testing.T, m *Model, k int) {
 	t.Helper()
 	ref := cluster.KMeans(m, k, nil, cluster.Options{Rand: rand.New(rand.NewSource(6)), Workers: 1, Prune: cluster.PruneOff})
-	for _, prune := range []cluster.PruneMode{cluster.PruneHamerly, cluster.PruneElkan} {
+	for _, prune := range []cluster.PruneMode{cluster.PruneHamerly} {
 		for _, workers := range []int{1, 4} {
 			got := cluster.KMeans(m, k, nil, cluster.Options{Rand: rand.New(rand.NewSource(6)), Workers: workers, Prune: prune})
 			if !reflect.DeepEqual(ref.Assign, got.Assign) {
@@ -55,7 +55,7 @@ func TestPrunedKernelsMatchCorpus454(t *testing.T) {
 func BenchmarkKMeansScale(b *testing.B) {
 	for _, n := range []int{1000, 5000} {
 		m := buildFormsModel(b, int64(n), n)
-		for _, prune := range []cluster.PruneMode{cluster.PruneOff, cluster.PruneHamerly, cluster.PruneElkan} {
+		for _, prune := range []cluster.PruneMode{cluster.PruneOff, cluster.PruneHamerly} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, prune), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cluster.KMeans(m, len(webgen.Domains), nil, cluster.Options{

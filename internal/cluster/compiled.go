@@ -72,12 +72,6 @@ func (s *CompiledSpace) NewCentroidIndex(centroids []Point) CentroidIndex {
 	return &compiledCentroidIndex{space: s, post: vector.NewPostings(vs)}
 }
 
-// Blend implements Blender: the convex combination (1−t)·a + t·b on
-// packed vectors — the mini-batch k-means centroid update.
-func (s *CompiledSpace) Blend(a, b Point, t float64) Point {
-	return vector.BlendCompiled(a.(vector.Compiled), b.(vector.Compiled), t)
-}
-
 type compiledCentroidIndex struct {
 	space *CompiledSpace
 	post  *vector.Postings

@@ -22,7 +22,7 @@ func TestInstrumentationInert(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				for _, prune := range []PruneMode{PruneOff, PruneHamerly, PruneElkan} {
+				for _, prune := range []PruneMode{PruneOff, PruneHamerly} {
 					reg := obs.NewRegistry()
 					plain := KMeans(space, 6, nil, Options{Rand: rand.New(rand.NewSource(5)), Workers: workers, Prune: prune})
 					instr := KMeans(space, 6, nil, Options{Rand: rand.New(rand.NewSource(5)), Workers: workers, Prune: prune, Metrics: reg})
@@ -46,20 +46,6 @@ func TestInstrumentationInert(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestInstrumentationInertMiniBatch: same contract for the sampled
-// rebuild path.
-func TestInstrumentationInertMiniBatch(t *testing.T) {
-	space, _ := compiledBlobs(6, 20, 1, 17)
-	mb := MiniBatch{BatchSize: 16, Rounds: 6}
-	reg := obs.NewRegistry()
-	plain := MiniBatchKMeans(space, 6, nil, Options{Rand: rand.New(rand.NewSource(5))}, mb)
-	instr := MiniBatchKMeans(space, 6, nil, Options{Rand: rand.New(rand.NewSource(5)), Metrics: reg}, mb)
-	if !reflect.DeepEqual(plain.Assign, instr.Assign) {
-		t.Error("mini-batch: instrumented assignments differ from plain")
-	}
-	assertRecorded(t, reg, "minibatch_runs_total", "distance_computations_total")
 }
 
 // TestInstrumentationInertFromGroups covers the hub-seeded HAC path.

@@ -25,10 +25,6 @@ const (
 	// centroid) and one lower bound (distance to the second-closest) per
 	// point — O(n) extra state, one drift update per point per round.
 	PruneHamerly
-	// PruneElkan keeps a per-centroid lower bound per point plus the
-	// pairwise centroid-distance matrix — O(n·k) extra state, tightest
-	// pruning, worth it when k is large or convergence is long.
-	PruneElkan
 )
 
 // pruneAutoMinPoints is the corpus size below which PruneAuto selects
@@ -68,8 +64,6 @@ func (m PruneMode) String() string {
 	switch m.resolve() {
 	case PruneOff:
 		return "off"
-	case PruneElkan:
-		return "elkan"
 	default:
 		return "hamerly"
 	}
@@ -80,7 +74,7 @@ func (m PruneMode) String() string {
 // of implicitly concatenated unit vectors, clamped into [0,1], with the
 // zero-norm convention Sim = 0), this is the Euclidean distance between
 // the normalized points, so the triangle inequality holds and
-// Elkan/Hamerly bound maintenance is sound. Distance is only ever used
+// Hamerly bound maintenance is sound. Distance is only ever used
 // for bounds; every actual assignment decision compares similarities
 // with the exhaustive kernel's exact semantics.
 func boundDist(sim float64) float64 {
@@ -121,8 +115,6 @@ func newAssigner(s Space, k int, opts Options, shards int) assigner {
 	switch opts.Prune.resolveFor(s.Len()) {
 	case PruneOff:
 		return &exhaustiveAssigner{b}
-	case PruneElkan:
-		return &elkanAssigner{assignerBase: b}
 	default:
 		return &hamerlyAssigner{assignerBase: b}
 	}
@@ -379,165 +371,5 @@ func (a *hamerlyAssigner) assign(cents []Point, assign, movedBy []int) {
 }
 
 func (a *hamerlyAssigner) snapshot(cents []Point) {
-	a.prev = append(a.prev[:0], cents...)
-}
-
-// elkanAssigner keeps a full n×k matrix of per-centroid lower bounds
-// plus the pairwise centroid-distance matrix, so individual centroids
-// can be skipped even when the point as a whole must be rechecked. Skip
-// conditions are strict and slack-padded exactly like Hamerly's, and
-// centroids that survive them are scored with the space's own Sim and
-// compared with the exhaustive kernel's lowest-index-argmax rule, so
-// the winning assignment is identical by construction.
-type elkanAssigner struct {
-	assignerBase
-	started bool
-	u       []float64
-	lb      []float64 // n×k lower bounds, row-major
-	prev    []Point
-	drift   []float64
-	cc      []float64 // k×k centroid distances, deflated by boundSlack
-	sep     []float64 // 0.5 × distance to each centroid's nearest peer
-}
-
-func (a *elkanAssigner) assign(cents []Point, assign, movedBy []int) {
-	n := len(assign)
-	k := a.k
-	idx := a.index(cents)
-	if !a.started {
-		a.u = make([]float64, n)
-		a.lb = make([]float64, n*k)
-		a.drift = make([]float64, k)
-		a.cc = make([]float64, k*k)
-		a.sep = make([]float64, k)
-		parallelRange(n, a.workers, timedBody(a.reg, "kmeans_assign", func(start, end, shard int) {
-			for i := start; i < end; i++ {
-				sims := a.sims[shard]
-				a.scanSims(i, cents, idx, shard, sims)
-				a.dist[shard] += int64(k)
-				best, bestSim := 0, -1.0
-				for c, sim := range sims {
-					a.lb[i*k+c] = boundDist(sim)
-					if sim > bestSim {
-						best, bestSim = c, sim
-					}
-				}
-				a.u[i] = boundDist(bestSim)
-				if assign[i] != best {
-					movedBy[shard]++
-					assign[i] = best
-				}
-			}
-		}))
-		a.started = true
-		a.snapshot(cents)
-		return
-	}
-	for c := range cents {
-		a.drift[c] = boundDist(a.s.Sim(a.prev[c], cents[c])) + boundSlack
-	}
-	a.dist[0] += int64(k)
-	// Pairwise centroid distances, deflated so they stay true lower
-	// bounds under floating-point rounding; sep[c] is half the distance
-	// to c's nearest peer — if u < sep[assigned], no other centroid can
-	// be strictly closer (triangle inequality) and the point is skipped
-	// whole.
-	for x := 0; x < k; x++ {
-		for y := x + 1; y < k; y++ {
-			d := boundDist(a.s.Sim(cents[x], cents[y])) - boundSlack
-			a.cc[x*k+y], a.cc[y*k+x] = d, d
-		}
-	}
-	a.dist[0] += int64(k * (k - 1) / 2)
-	for x := 0; x < k; x++ {
-		m := math.Inf(1)
-		for y := 0; y < k; y++ {
-			if y != x && a.cc[x*k+y] < m {
-				m = a.cc[x*k+y]
-			}
-		}
-		a.sep[x] = 0.5 * m
-	}
-	parallelRange(n, a.workers, timedBody(a.reg, "kmeans_assign", func(start, end, shard int) {
-		for i := start; i < end; i++ {
-			ai := assign[i]
-			row := a.lb[i*k : i*k+k]
-			for c := range row {
-				row[c] -= a.drift[c]
-			}
-			u := a.u[i] + a.drift[ai]
-			if u < a.sep[ai] {
-				a.u[i] = u
-				a.pruned[shard]++
-				continue
-			}
-			// Stale-bound pre-pass: if every other centroid is already
-			// ruled out by its lower bound or the centroid-centroid
-			// bound against the drift-inflated u, the assignment cannot
-			// change and the point costs zero similarity evaluations
-			// this round. The skips are the same strict, slack-padded
-			// inequalities as the full scan below, just with a looser
-			// (larger, still valid) upper bound — so anything they prune
-			// the tightened scan would have pruned too.
-			survivor := false
-			for c := 0; c < k; c++ {
-				if c == ai {
-					continue
-				}
-				if row[c] > u || a.cc[ai*k+c] > 2*u {
-					continue
-				}
-				survivor = true
-				break
-			}
-			if !survivor {
-				a.u[i] = u
-				a.pruned[shard]++
-				continue
-			}
-			// Tighten u exactly; this similarity doubles as the running
-			// best for the per-centroid scan.
-			bestSim := a.simOne(i, ai, cents, idx, shard)
-			a.dist[shard]++
-			best := ai
-			u = boundDist(bestSim)
-			row[ai] = u
-			if u < a.sep[ai] {
-				a.u[i] = u
-				a.pruned[shard]++
-				continue
-			}
-			for c := 0; c < k; c++ {
-				if c == ai {
-					continue
-				}
-				// Strict skips: either bound proves d(p,c) > d(p,best),
-				// i.e. a strictly lower similarity than the running best,
-				// so c cannot win or even tie.
-				if row[c] > u || a.cc[best*k+c] > 2*u {
-					continue
-				}
-				sim := a.simOne(i, c, cents, idx, shard)
-				a.dist[shard]++
-				d := boundDist(sim)
-				row[c] = d
-				// Lowest-index argmax over the evaluated set, identical
-				// to the exhaustive left-to-right strict `>` scan.
-				if sim > bestSim || (sim == bestSim && c < best) {
-					best, bestSim = c, sim
-					u = d
-				}
-			}
-			a.u[i] = u
-			if assign[i] != best {
-				movedBy[shard]++
-				assign[i] = best
-			}
-		}
-	}))
-	a.snapshot(cents)
-}
-
-func (a *elkanAssigner) snapshot(cents []Point) {
 	a.prev = append(a.prev[:0], cents...)
 }

@@ -31,7 +31,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 			for _, k := range []int{1, 3, 6, 11} {
 				for _, seeds := range [][][]int{nil, {{0, 1, 2}, {30}, {60, 61}}} {
 					ref := KMeans(space, k, seeds, Options{Rand: rand.New(rand.NewSource(9)), Workers: 1, Prune: PruneOff})
-					for _, prune := range []PruneMode{PruneAuto, PruneHamerly, PruneElkan} {
+					for _, prune := range []PruneMode{PruneAuto, PruneHamerly} {
 						for _, workers := range []int{1, 4} {
 							got := KMeans(space, k, seeds, Options{Rand: rand.New(rand.NewSource(9)), Workers: workers, Prune: prune})
 							if !reflect.DeepEqual(ref.Assign, got.Assign) {
@@ -63,7 +63,7 @@ func TestPrunedMatchesExhaustiveTies(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			ref := KMeans(space, 4, nil, Options{Rand: rand.New(rand.NewSource(3)), Workers: 1, Prune: PruneOff})
-			for _, prune := range []PruneMode{PruneHamerly, PruneElkan} {
+			for _, prune := range []PruneMode{PruneHamerly} {
 				got := KMeans(space, 4, nil, Options{Rand: rand.New(rand.NewSource(3)), Workers: 1, Prune: prune})
 				if !reflect.DeepEqual(ref.Assign, got.Assign) {
 					t.Errorf("prune=%v: tie assignments differ from exhaustive", prune)
@@ -78,7 +78,7 @@ func TestPrunedMatchesExhaustiveTies(t *testing.T) {
 // merge-join Sim calls — results must not change by a bit.
 func TestCentroidIndexMatchesSim(t *testing.T) {
 	cs, _ := compiledBlobs(7, 30, 1, 41)
-	for _, prune := range []PruneMode{PruneOff, PruneHamerly, PruneElkan} {
+	for _, prune := range []PruneMode{PruneOff, PruneHamerly} {
 		indexed := KMeans(cs, 7, nil, Options{Rand: rand.New(rand.NewSource(11)), Prune: prune})
 		plain := KMeans(noScorer{cs}, 7, nil, Options{Rand: rand.New(rand.NewSource(11)), Prune: prune})
 		if !reflect.DeepEqual(indexed.Assign, plain.Assign) {
@@ -91,14 +91,14 @@ func TestCentroidIndexMatchesSim(t *testing.T) {
 }
 
 // TestPrunedDistanceCounts asserts the point of the whole exercise: the
-// pruned kernels must actually skip work. The exhaustive kernel's
-// distance count is n×k per round (plus repair scans); both pruned
-// kernels must come in strictly lower and report pruned points, while
-// the exhaustive kernel reports zero.
+// pruned kernel must actually skip work. The exhaustive kernel's
+// distance count is n×k per round (plus repair scans); Hamerly must
+// come in strictly lower and report pruned points, while the exhaustive
+// kernel reports zero.
 func TestPrunedDistanceCounts(t *testing.T) {
 	cs, _ := compiledBlobs(6, 100, 3, 55)
 	counts := map[PruneMode]int64{}
-	for _, prune := range []PruneMode{PruneOff, PruneHamerly, PruneElkan} {
+	for _, prune := range []PruneMode{PruneOff, PruneHamerly} {
 		reg := obs.NewRegistry()
 		KMeans(cs, 10, nil, Options{Rand: rand.New(rand.NewSource(2)), Prune: prune, Metrics: reg, MoveFrac: 0.001})
 		counts[prune] = counterValue(t, reg, "distance_computations_total")
@@ -112,9 +112,6 @@ func TestPrunedDistanceCounts(t *testing.T) {
 	}
 	if counts[PruneHamerly] >= counts[PruneOff] {
 		t.Errorf("hamerly distance count %d not below exhaustive %d", counts[PruneHamerly], counts[PruneOff])
-	}
-	if counts[PruneElkan] >= counts[PruneOff] {
-		t.Errorf("elkan distance count %d not below exhaustive %d", counts[PruneElkan], counts[PruneOff])
 	}
 }
 
@@ -169,7 +166,6 @@ func TestPruneModeString(t *testing.T) {
 		PruneAuto:    "hamerly",
 		PruneOff:     "off",
 		PruneHamerly: "hamerly",
-		PruneElkan:   "elkan",
 	} {
 		if got := mode.String(); got != want {
 			t.Errorf("PruneMode(%d).String() = %q, want %q", int(mode), got, want)
@@ -182,7 +178,10 @@ func TestPruneModeString(t *testing.T) {
 // BENCH_scale.json backs only the upper side (Hamerly 1169ms vs
 // exhaustive 2437ms at 20k pages); its 5k row has Hamerly faster too
 // (159ms vs 215ms), so the threshold is not supported by the recorded
-// 5k measurement. Explicit modes are never overridden.
+// 5k measurement. Explicit modes are never overridden. At the
+// threshold, the zero-value Options — the only way production reaches
+// Hamerly — must reproduce the exhaustive run bit for bit while
+// actually pruning.
 func TestPruneAutoCrossover(t *testing.T) {
 	if got := PruneAuto.resolveFor(pruneAutoMinPoints - 1); got != PruneOff {
 		t.Errorf("PruneAuto at %d points resolved to %v, want exhaustive", pruneAutoMinPoints-1, got)
@@ -201,16 +200,24 @@ func TestPruneAutoCrossover(t *testing.T) {
 	if _, ok := newAssigner(s, 4, Options{}, 1).(*exhaustiveAssigner); !ok {
 		t.Error("small-corpus PruneAuto did not assemble the exhaustive kernel")
 	}
-}
-
-// blobSeeds returns one two-member seed group per blob for the
-// compiledBlobs/intBlobs layout (blob gi occupies [gi·size, gi·size+size)),
-// pinning a run to the blob basin so quality checks are not confounded
-// by random-init local optima.
-func blobSeeds(g, size int) [][]int {
-	seeds := make([][]int, g)
-	for gi := range seeds {
-		seeds[gi] = []int{gi * size, gi*size + 1}
+	big, _ := compiledBlobs(8, pruneAutoMinPoints/8, 1, 9)
+	if big.Len() != pruneAutoMinPoints {
+		t.Fatalf("threshold corpus has %d points, want %d", big.Len(), pruneAutoMinPoints)
 	}
-	return seeds
+	if _, ok := newAssigner(big, 8, Options{}, 1).(*hamerlyAssigner); !ok {
+		t.Fatal("threshold-corpus PruneAuto did not assemble the Hamerly kernel")
+	}
+	ref := KMeans(big, 8, nil, Options{Prune: PruneOff})
+	reg := obs.NewRegistry()
+	got := KMeans(big, 8, nil, Options{Metrics: reg})
+	if !reflect.DeepEqual(ref.Assign, got.Assign) {
+		t.Error("threshold-corpus PruneAuto: assignments differ from exhaustive")
+	}
+	if ref.Iterations != got.Iterations {
+		t.Errorf("threshold-corpus PruneAuto: iterations %d != exhaustive %d", got.Iterations, ref.Iterations)
+	}
+	assertCentroidsMatch(t, ref.Centroids, got.Centroids)
+	if pruned := counterValue(t, reg, "kmeans_pruned_total"); pruned == 0 {
+		t.Error("threshold-corpus PruneAuto pruned no points")
+	}
 }

@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cafc/internal/fault"
 	"cafc/internal/obs"
@@ -101,5 +105,63 @@ func TestWALFailureDegrades(t *testing.T) {
 	}
 	if err := s.Append(Record{}); err == nil {
 		t.Errorf("append on closed store must error")
+	}
+}
+
+// TestSnapshotFailureIsNotWALError: a snapshot that cannot be written
+// loses nothing — the WAL is flushed first and recovery replays it — so
+// both periodic checkpoints and the final snapshot on Drain count only
+// in stream_snapshot_errors_total, never in Status.WALErrors, on worker
+// and manual pipelines alike.
+func TestSnapshotFailureIsNotWALError(t *testing.T) {
+	docs := genDocs(t, 15, 12)
+	errSnap := errors.New("snapshot disk full")
+	for _, manual := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		var attempts atomic.Int64 // the worker goroutine calls SaveSnapshot
+		cfg := Config{
+			K: 2, Seed: 1, BatchSize: 4, FlushInterval: time.Hour, Metrics: reg,
+			SnapshotEvery: 1,
+			SaveSnapshot: func(*Epoch) error {
+				attempts.Add(1)
+				return errSnap
+			},
+		}
+		var l *Live
+		if manual {
+			l = NewManual(cfg, nil, nil)
+			for i := 0; i < len(docs); i += 4 {
+				if err := l.Apply(Record{Docs: docs[i : i+4]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			l = New(cfg, nil, nil)
+			for _, d := range docs {
+				if err := l.Ingest(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := l.Drain(ctx)
+		cancel()
+		if manual && !errors.Is(err, errSnap) || !manual && err != nil {
+			t.Fatalf("manual=%v: Drain = %v", manual, err)
+		}
+		if e := l.Current(); e == nil || e.Model.Len() != len(docs) {
+			t.Fatalf("manual=%v: drain lost docs: %+v", manual, l.Status())
+		}
+		// Three batch checkpoints plus the final snapshot.
+		n := attempts.Load()
+		if n != 4 {
+			t.Errorf("manual=%v: %d snapshot attempts, want 4", manual, n)
+		}
+		if got := l.Status().WALErrors; got != 0 {
+			t.Errorf("manual=%v: WALErrors = %d after snapshot-only failures, want 0", manual, got)
+		}
+		if got := obsCounter(t, reg, "stream_snapshot_errors_total"); got != float64(n) {
+			t.Errorf("manual=%v: stream_snapshot_errors_total = %v, want %d", manual, got, n)
+		}
 	}
 }

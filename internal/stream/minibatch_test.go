@@ -1,11 +1,6 @@
 package stream
 
-import (
-	"testing"
-
-	"cafc/internal/cluster"
-	"cafc/internal/obs"
-)
+import "testing"
 
 // liveEpoch drives two synchronous batches so the second epoch is a
 // mini-batch extension over a real incremental model.
@@ -59,65 +54,5 @@ func TestNearestFnZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("indexed scoring allocates %v per point pair, want 0", allocs)
-	}
-}
-
-// TestMiniBatchRebuild pins the sampled re-cluster path: with
-// Config.MiniBatchRebuild set, a drift-triggered rebuild runs
-// cluster.MiniBatchKMeans instead of full CAFC-C, covers every page,
-// keeps all k clusters non-empty, and counts in
-// minibatch_rebuild_total.
-func TestMiniBatchRebuild(t *testing.T) {
-	docs := genDocs(t, 10, 30)
-	reg := obs.NewRegistry()
-	l := syncLive(Config{
-		K: 3, Seed: 1, DriftThreshold: -1,
-		MiniBatchRebuild: &cluster.MiniBatch{BatchSize: 8, Rounds: 6},
-		Metrics:          reg,
-	})
-	l.apply(Record{Docs: docs[:20]}, false)
-	l.apply(Record{Docs: docs[20:]}, false)
-	e := l.cur.Load()
-	if !e.Rebuilt {
-		t.Fatal("drift under a negative threshold must rebuild")
-	}
-	if len(e.Result.Assign) != 30 {
-		t.Fatalf("rebuild assigned %d of 30 pages", len(e.Result.Assign))
-	}
-	for c, sz := range cluster.Sizes(e.Result.Assign, e.Result.K) {
-		if sz == 0 {
-			t.Errorf("cluster %d empty after mini-batch rebuild", c)
-		}
-	}
-	var rebuilds float64
-	for _, s := range reg.Snapshot() {
-		if s.Name == "minibatch_rebuild_total" {
-			rebuilds = s.Value
-		}
-	}
-	if rebuilds == 0 {
-		t.Error("minibatch_rebuild_total not incremented")
-	}
-}
-
-// TestMiniBatchRebuildDeterministic: two Lives over the same document
-// sequence and config publish identical epochs — the WAL-replay
-// guarantee must survive the sampled rebuild path.
-func TestMiniBatchRebuildDeterministic(t *testing.T) {
-	docs := genDocs(t, 14, 30)
-	run := func() []int {
-		l := syncLive(Config{
-			K: 3, Seed: 1, DriftThreshold: -1,
-			MiniBatchRebuild: &cluster.MiniBatch{BatchSize: 8, Rounds: 6},
-		})
-		l.apply(Record{Docs: docs[:20]}, false)
-		l.apply(Record{Docs: docs[20:]}, false)
-		return l.cur.Load().Result.Assign
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("page %d assigned to %d then %d across identical replays", i, a[i], b[i])
-		}
 	}
 }

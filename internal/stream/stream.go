@@ -50,14 +50,6 @@ type Config struct {
 	// Uniform disables location differentiation for ingested pages
 	// (must match the model being grown).
 	Uniform bool
-	// MiniBatchRebuild, when set, replaces the drift-triggered full
-	// re-cluster's Lloyd iterations with sampled mini-batch k-means
-	// (cluster.MiniBatchKMeans): O(rounds · batch · k) updates plus one
-	// full assignment pass, instead of O(iterations · corpus · k) — the
-	// rebuild budget that keeps drift recovery affordable once the
-	// corpus outgrows full k-means. Rebuilds through this path count in
-	// minibatch_rebuild_total. Nil keeps the exact CAFC-C rebuild.
-	MiniBatchRebuild *cluster.MiniBatch
 	// Metrics receives stream telemetry (queue depth, batch latency,
 	// epoch gauge, drift fraction, rebuild and WAL counters). Nil
 	// disables instrumentation.
@@ -451,7 +443,9 @@ func (l *Live) Status() Status {
 // Drain stops intake, flushes every queued document through the batch
 // pipeline, writes a final snapshot, and stops the worker. Ingest
 // fails with ErrDraining from the first call on. Returns once the
-// worker has exited or ctx expires.
+// worker has exited or ctx expires. A failed snapshot counts in
+// stream_snapshot_errors_total, not in Status.WALErrors: the WAL is
+// flushed first and recovery replays it, so nothing is lost.
 func (l *Live) Drain(ctx context.Context) error {
 	l.draining.Store(true)
 	l.graceful.Store(true)
@@ -477,7 +471,6 @@ func (l *Live) Drain(ctx context.Context) error {
 	if l.manual && l.cfg.SaveSnapshot != nil {
 		if e := l.cur.Load(); e != nil {
 			if err := l.cfg.SaveSnapshot(e); err != nil {
-				l.walErrors.Add(1)
 				l.cfg.Metrics.Counter("stream_snapshot_errors_total").Inc()
 				return err
 			}
@@ -582,7 +575,6 @@ func (l *Live) run() {
 			if l.cfg.SaveSnapshot != nil {
 				if e := l.cur.Load(); e != nil {
 					if err := l.cfg.SaveSnapshot(e); err != nil {
-						l.walErrors.Add(1)
 						l.cfg.Metrics.Counter("stream_snapshot_errors_total").Inc()
 					}
 				}
@@ -766,12 +758,6 @@ func (l *Live) recluster(m *icafc.Model) cluster.Result {
 	}()
 	m.ReembedAll()
 	rng := rand.New(rand.NewSource(l.cfg.Seed + 1))
-	if mb := l.cfg.MiniBatchRebuild; mb != nil {
-		if reg := l.cfg.Metrics; reg != nil {
-			reg.Counter("minibatch_rebuild_total").Inc()
-		}
-		return icafc.CAFCCMiniBatch(m, l.cfg.K, rng, *mb)
-	}
 	return icafc.CAFCC(m, l.cfg.K, rng)
 }
 

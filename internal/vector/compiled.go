@@ -285,49 +285,6 @@ func (a *Accumulator) Compile(f float64) Compiled {
 	return Compiled{IDs: ids, Weights: weights, Norm: math.Sqrt(sum)}
 }
 
-// BlendCompiled returns (1−t)·a + t·b as a fresh compiled vector — the
-// convex-combination update mini-batch k-means applies to a centroid
-// (per-centroid learning rate t). A merge join over the sorted ID
-// slices keeps the result sorted; the norm is summed in ascending-ID
-// order like Compile's, so the output is a well-formed Compiled and the
-// operation is deterministic for fixed inputs. Terms whose blended
-// weight is exactly zero are kept (sparsity bookkeeping is not worth a
-// second pass); cosine similarity is unaffected by explicit zeros.
-func BlendCompiled(a, b Compiled, t float64) Compiled {
-	ids := make([]uint32, 0, len(a.IDs)+len(b.IDs))
-	weights := make([]float64, 0, len(a.IDs)+len(b.IDs))
-	wa, wb := 1-t, t
-	var sum float64
-	i, j := 0, 0
-	push := func(id uint32, w float64) {
-		ids = append(ids, id)
-		weights = append(weights, w)
-		sum += w * w
-	}
-	for i < len(a.IDs) && j < len(b.IDs) {
-		ai, bj := a.IDs[i], b.IDs[j]
-		switch {
-		case ai == bj:
-			push(ai, wa*a.Weights[i]+wb*b.Weights[j])
-			i++
-			j++
-		case ai < bj:
-			push(ai, wa*a.Weights[i])
-			i++
-		default:
-			push(bj, wb*b.Weights[j])
-			j++
-		}
-	}
-	for ; i < len(a.IDs); i++ {
-		push(a.IDs[i], wa*a.Weights[i])
-	}
-	for ; j < len(b.IDs); j++ {
-		push(b.IDs[j], wb*b.Weights[j])
-	}
-	return Compiled{IDs: ids, Weights: weights, Norm: math.Sqrt(sum)}
-}
-
 // CentroidCompiled returns the term-wise mean of the given compiled
 // vectors — the packed counterpart of Centroid. An empty input yields
 // an empty vector.

@@ -182,33 +182,6 @@ func TestAccumulatorReuseAndGrow(t *testing.T) {
 	}
 }
 
-// TestBlendCompiled pins the mini-batch centroid update: blending with
-// t=0 returns a, t=1 returns b (up to explicit zeros), and a mid blend
-// equals the term-wise convex combination with a freshly computed norm.
-func TestBlendCompiled(t *testing.T) {
-	a := Compiled{IDs: []uint32{1, 3, 5}, Weights: []float64{1, 2, 3}, Norm: math.Sqrt(14)}
-	b := Compiled{IDs: []uint32{3, 4}, Weights: []float64{4, 8}, Norm: math.Sqrt(80)}
-	got := BlendCompiled(a, b, 0.25)
-	wantIDs := []uint32{1, 3, 4, 5}
-	wantW := []float64{0.75, 0.75*2 + 0.25*4, 0.25 * 8, 0.75 * 3}
-	if len(got.IDs) != len(wantIDs) {
-		t.Fatalf("blend has %d terms, want %d", len(got.IDs), len(wantIDs))
-	}
-	var sum float64
-	for i := range wantIDs {
-		if got.IDs[i] != wantIDs[i] || got.Weights[i] != wantW[i] {
-			t.Errorf("term %d: (%d, %v), want (%d, %v)", i, got.IDs[i], got.Weights[i], wantIDs[i], wantW[i])
-		}
-		sum += wantW[i] * wantW[i]
-	}
-	if got.Norm != math.Sqrt(sum) {
-		t.Errorf("norm %v, want %v", got.Norm, math.Sqrt(sum))
-	}
-	if d := BlendCompiled(a, b, 0).Dot(a); d != a.Dot(a) {
-		t.Errorf("t=0 blend dot drifted: %v != %v", d, a.Dot(a))
-	}
-}
-
 // benchVectors builds two overlapping ~120-term vectors shaped like the
 // corpus' page-content vectors.
 func benchVectors() (Vector, Vector) {

@@ -226,6 +226,9 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 			return nil, err
 		}
 	}
+	if corpus.Len() > 0 && cl == nil {
+		return nil, fmt.Errorf("cafc: NewLive: non-empty corpus needs a genesis clustering")
+	}
 
 	l := &Live{}
 	scfg, err := l.streamConfig(corpus, cfg)
@@ -241,9 +244,6 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 	}
 	var genesis *stream.Epoch
 	if corpus.Len() > 0 {
-		if cl == nil {
-			return nil, fmt.Errorf("cafc: NewLive: non-empty corpus needs a genesis clustering")
-		}
 		genesis = genesisEpoch(corpus, docs, cl)
 		if l.store != nil {
 			if err := l.store.Append(stream.Record{Docs: docs}); err != nil {
@@ -251,14 +251,15 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 				return nil, err
 			}
 			genesis.WALRecords = 1
+			// Snapshot before stream.New starts the worker, so a failure
+			// leaves nothing running.
+			if err := scfg.SaveSnapshot(genesis); err != nil {
+				l.store.Close()
+				return nil, err
+			}
 		}
 	}
 	l.inner = stream.New(scfg, genesis, nil)
-	if genesis != nil && l.store != nil {
-		if err := scfg.SaveSnapshot(genesis); err != nil {
-			return nil, err
-		}
-	}
 	return l, nil
 }
 
@@ -333,10 +334,7 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 	}
 
 	l := &Live{store: store, follower: follower}
-	scfg, err := l.streamConfigWithStore(corpus, cfg, store)
-	if err != nil {
-		return nil, err
-	}
+	scfg := l.streamConfigWithStore(corpus, cfg, store)
 
 	var genesis *stream.Epoch
 	if corpus.Len() > 0 {
@@ -409,10 +407,10 @@ func (l *Live) streamConfig(corpus *Corpus, cfg LiveConfig) (stream.Config, erro
 			return stream.Config{}, err
 		}
 	}
-	return l.streamConfigWithStore(corpus, cfg, store)
+	return l.streamConfigWithStore(corpus, cfg, store), nil
 }
 
-func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stream.Store) (stream.Config, error) {
+func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stream.Store) stream.Config {
 	l.store = store
 	l.dir = cfg.Dir
 	l.weights = corpus.weights
@@ -500,7 +498,7 @@ func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stre
 			cfg.OnPublish(cell.get())
 		}
 	}
-	return scfg, nil
+	return scfg
 }
 
 // epochCell defers convertEpoch until a reader actually wants the

@@ -3,7 +3,10 @@ package cafc
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -171,6 +174,39 @@ func TestLiveRecoverAfterCrash(t *testing.T) {
 		t.Errorf("second recovery: epoch %d (%d pages), want %d (56)",
 			got.Epoch, got.Corpus.Len(), finalEpoch)
 	}
+}
+
+// TestNewLiveErrorsLeaveNothingOpen pins NewLive's failure paths: a
+// non-empty corpus without a genesis clustering is refused before the
+// state directory is touched, and a genesis snapshot that cannot be
+// written returns the error with no ingest worker left running.
+func TestNewLiveErrorsLeaveNothingOpen(t *testing.T) {
+	docs, _, _, _ := testDocs(t, 31, 12)
+	corpus, err := NewCorpus(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "state")
+	if _, err := NewLive(corpus, docs, nil, LiveConfig{K: 4, Dir: dir}); err == nil {
+		t.Fatal("NewLive accepted a non-empty corpus without a clustering")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("refused NewLive opened the state directory (stat: %v)", err)
+	}
+
+	// A non-empty directory where the snapshot belongs makes the
+	// snapshot's final rename fail.
+	if err := os.MkdirAll(filepath.Join(dir, "snapshot.gob.gz", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cl := corpus.ClusterC(4, 1)
+	before := runtime.NumGoroutine()
+	if _, err := NewLive(corpus, docs, cl, LiveConfig{K: 4, Seed: 1, Dir: dir}); err == nil {
+		t.Fatal("NewLive succeeded with an unwritable genesis snapshot")
+	}
+	waitLive(t, "goroutines started by the failed NewLive to exit", func() bool {
+		return runtime.NumGoroutine() <= before
+	})
 }
 
 // TestLiveQualityInert is the quality-layer inertness pin at the public

@@ -7,18 +7,24 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Formatting gate: any file gofmt would rewrite fails the run.
-unformatted=$(gofmt -l $(go list -f '{{.Dir}}' ./...))
+# Formatting gate: any file gofmt would rewrite fails the run. The
+# repository benchmark (perfbench) is its own module, so go list does not
+# reach it; it is named explicitly.
+unformatted=$(gofmt -l $(go list -f '{{.Dir}}' ./...) perfbench)
 [ -z "$unformatted" ] || { echo "check.sh: gofmt needed on:"; echo "$unformatted"; exit 1; }
 go vet ./...
 go build ./...
 go test -race ./...
+# perfbench builds against the root module's API through a replace
+# directive; vet and test it here so an API change that breaks it fails
+# now rather than on the next benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
 # The clustering kernels shard by GOMAXPROCS when Workers is 0: run them
 # at one and two CPUs so a hard-coded shard count fails on any host.
 go test -race -cpu 1,2 ./internal/cluster
 # Focused race pass over the live-pipeline packages: the streaming
 # ingester, the clustering kernels it drives (including the sharded
-# bound-pruned assignment and mini-batch paths), the incremental model
+# bound-pruned assignment path), the incremental model
 # with its parallel build, the replication layer (server, tailer and the
 # chaos suite), the search index (concurrent readers over the frozen
 # snapshot while the builder appends), and the observability layer
@@ -56,14 +62,16 @@ go build -o "$tmp/directoryd" ./cmd/directoryd
 go build -o "$tmp/benchall" ./cmd/benchall
 go build -o "$tmp/loadgen" ./cmd/loadgen
 
-# Scale-bench smoke: a 5k-page forms-only corpus through every clustering
-# kernel. scaleBench itself fails the run unless each pruned kernel
-# reproduces the exhaustive assignments byte for byte with strictly fewer
-# distance computations and the parallel model build is bit-identical to
-# the serial reference — so this guards the pruning and parallel-build
-# invariants end to end.
+# Scale-bench smoke: a 5k-page forms-only corpus through the exhaustive
+# and Hamerly k-means kernels. scaleBench itself fails the run unless
+# Hamerly reproduces the exhaustive assignments byte for byte with
+# strictly fewer distance computations and the parallel model build is
+# bit-identical to the serial reference — so this guards the pruning and
+# parallel-build invariants end to end.
 "$tmp/benchall" -exp scale -sizes 5000 -json "$tmp/BENCH_scale_smoke.json" >/dev/null
 [ -s "$tmp/BENCH_scale_smoke.json" ] || { echo "check.sh: scale smoke wrote no report"; exit 1; }
+kernels=$(sed -n 's/.*"kernel": "\([a-z]*\)".*/\1/p' "$tmp/BENCH_scale_smoke.json" | tr '\n' ' ')
+[ "$kernels" = "off hamerly " ] || { echo "check.sh: scale smoke kernels '$kernels', want 'off hamerly '"; exit 1; }
 
 # Ingest-throughput smoke: the 454-page sweep replays the baseline
 # run's WAL through fresh pipelines at worker counts 1, 2 and 4 and
