@@ -357,10 +357,15 @@ func startLive(p liveParams, reg *obs.Registry) (*liveServer, error) {
 
 	if p.data != "" && stream.HasState(p.data) {
 		log.Printf("recovering live directory from %s", p.data)
+		t0 := time.Now()
 		live, err := cafc.RecoverLive(cfg, opts)
 		if err != nil {
 			return nil, err
 		}
+		// What the restart cost, from the server alone.
+		st := live.Status()
+		log.Printf("recovered epoch %d (%d pages, %d WAL records) in %.2fs",
+			st.Epoch, st.Pages, st.WALRecords, time.Since(t0).Seconds())
 		ls.live = live
 		return ls, nil
 	}

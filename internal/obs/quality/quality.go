@@ -4,13 +4,15 @@
 // uses offline, cheap enough to run on every epoch swap.
 //
 // The monitor keeps a seeded reservoir sample of the corpus (so the
-// per-epoch cost is bounded no matter how large the directory grows)
-// and computes, per epoch: the sampled silhouette coefficient, the
-// per-cluster size distribution and its skew, the cosine drift of each
-// centroid against the previous epoch ("churn"), and — when gold labels
-// are available, as with webgen corpora — the paper's entropy and
-// F-measure. Results are published as gauges on an obs.Registry and
-// retained in a fixed ring of Snapshots for /debug/quality.
+// per-epoch cost is bounded no matter how large the directory grows),
+// caches the similarities between sampled pages (so an epoch rescores
+// only the slots it replaced), and computes, per epoch: the sampled
+// silhouette coefficient, the per-cluster size distribution and its
+// skew, the cosine drift of each centroid against the previous epoch
+// ("churn"), and — when gold labels are available, as with webgen
+// corpora — the paper's entropy and F-measure. Results are published as
+// gauges on an obs.Registry and retained in a fixed ring of Snapshots
+// for /debug/quality.
 //
 // The monitor only observes: it never mutates the model or the
 // clustering, and attaching one (with or without a registry) leaves
@@ -34,8 +36,11 @@ import (
 // Config configures a Monitor. Zero values select the defaults noted
 // per field.
 type Config struct {
-	// SampleSize caps the reservoir (0 = 256). Silhouette cost per epoch
-	// is O(SampleSize²) similarities.
+	// SampleSize caps the reservoir (0 = 256). The monitor caches the
+	// SampleSize² similarities between reservoir slots (8·SampleSize²
+	// bytes, 512 KiB at the default), so an epoch costs O(SampleSize ×
+	// replaced slots) similarities; the first epoch and every Rebuilt
+	// one fill the whole cache.
 	SampleSize int
 	// Seed drives the reservoir RNG. Fixed seed + same page sequence =
 	// same sample, independent of batch boundaries.
@@ -53,10 +58,18 @@ type Config struct {
 
 // Epoch is the monitor's view of one published model state. Everything
 // referenced must be frozen (published epochs are).
+//
+// The monitor caches similarities between sampled pages across epochs,
+// so Space must score every page that existed in the previous epoch
+// exactly as the previous epoch's Space did, until an epoch with
+// Rebuilt set (which refreshes the whole cache). The live path meets
+// this: appending pages leaves earlier packed vectors untouched, and
+// only a full re-cluster, which sets Rebuilt, re-embeds them.
 type Epoch struct {
 	// Seq is the epoch number.
 	Seq int64
-	// Space scores similarities (the epoch's model).
+	// Space scores similarities (the epoch's model). See the contract
+	// above.
 	Space cluster.Space
 	// Assign maps page index to cluster (-1 = unassigned).
 	Assign []int
@@ -64,7 +77,8 @@ type Epoch struct {
 	K int
 	// Centroids are the epoch's cluster representatives.
 	Centroids []cluster.Point
-	// Rebuilt marks full re-cluster epochs.
+	// Rebuilt marks full re-cluster epochs: the pages may have been
+	// re-embedded, so every cached similarity is recomputed.
 	Rebuilt bool
 	// URL returns the page URL by index; may be nil when no labels are
 	// configured.
@@ -120,6 +134,14 @@ type Monitor struct {
 	seen int   // pages offered to the reservoir so far
 	res  []int // reservoir: page indices, insertion order
 
+	// sims caches Space.Sim between reservoir slots, SampleSize² cells
+	// row-major by slot (allocated on the first fill). For clean slots
+	// i and j, sims[i*SampleSize+j] == Sim(Point(res[i]), Point(res[j]))
+	// in the current epoch's space. dirty flags the slots filled or
+	// replaced since the last fill, whose row and column are stale.
+	sims  []float64
+	dirty []bool
+
 	prevCentroids []cluster.Point
 
 	ring []Snapshot
@@ -136,9 +158,10 @@ func New(cfg Config) *Monitor {
 		cfg.RingSize = 64
 	}
 	return &Monitor{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed + 1)),
-		ring: make([]Snapshot, cfg.RingSize),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed + 1)),
+		dirty: make([]bool, cfg.SampleSize),
+		ring:  make([]Snapshot, cfg.RingSize),
 	}
 }
 
@@ -154,16 +177,26 @@ func (m *Monitor) ObserveEpoch(e Epoch, now time.Time) Snapshot {
 	n := e.Space.Len()
 	// Reservoir sampling (algorithm R) over the page-index sequence.
 	// Pages are append-only across epochs — a rebuild re-embeds but
-	// never reorders — so indices remain stable identities.
+	// never reorders — so indices remain stable identities. Every slot
+	// filled or replaced is dirty, which covers the whole reservoir on
+	// the first observation.
 	for ; m.seen < n; m.seen++ {
 		if len(m.res) < m.cfg.SampleSize {
+			m.dirty[len(m.res)] = true
 			m.res = append(m.res, m.seen)
 			continue
 		}
 		if j := m.rng.Intn(m.seen + 1); j < m.cfg.SampleSize {
 			m.res[j] = m.seen
+			m.dirty[j] = true
 		}
 	}
+	if e.Rebuilt {
+		for i := range m.res {
+			m.dirty[i] = true
+		}
+	}
+	m.fill(e.Space)
 
 	snap := Snapshot{
 		Epoch:      e.Seq,
@@ -173,7 +206,7 @@ func (m *Monitor) ObserveEpoch(e Epoch, now time.Time) Snapshot {
 		Rebuilt:    e.Rebuilt,
 		SampleSize: len(m.res),
 	}
-	snap.Silhouette = sampledSilhouette(e.Space, e.Assign, e.K, m.res)
+	snap.Silhouette = m.silhouette(e.Assign, e.K)
 	m.sizeStats(&snap, e)
 	m.churn(&snap, e)
 	m.labelQuality(&snap, e)
@@ -320,38 +353,79 @@ func (m *Monitor) Sample() []int {
 	return out
 }
 
-// sampledSilhouette is the silhouette coefficient restricted to the
-// sample: cluster.Silhouette over the sampled pages, in reservoir order.
-// Pages beyond the assignment count as unassigned, so they score nothing.
-func sampledSilhouette(s cluster.Space, assign []int, k int, sample []int) float64 {
-	sub := make([]int, len(sample))
-	for pos, idx := range sample {
-		sub[pos] = -1
-		if idx < len(assign) {
-			sub[pos] = assign[idx]
+// fill recomputes the cached cells of every dirty slot a: row a, and
+// column a of the clean rows. Cell (i, j) always holds Sim(P_i, P_j) in
+// that argument order, so the cache matches a direct computation for
+// any space, symmetric or not. With d dirty slots of r filled ones that
+// is d(2r−d) Sim calls. The dirty slots shard across CPUs, and every
+// cell has exactly one writer: a dirty row belongs to its slot, and a
+// clean row's cell in column a belongs to slot a.
+func (m *Monitor) fill(s cluster.Space) {
+	r, stride := len(m.res), m.cfg.SampleSize
+	var dirty []int
+	for a, d := range m.dirty[:r] {
+		if d {
+			dirty = append(dirty, a)
 		}
 	}
-	return cluster.Silhouette(sampleSpace{space: s, pages: sample}, sub, k)
-}
-
-// sampleSpace views a sample of a space's objects as a space of its own:
-// object i is page pages[i]. The space is a named field, not embedded, so
-// no method of the whole space can read sample positions as page indices.
-type sampleSpace struct {
-	space cluster.Space
-	pages []int
-}
-
-func (v sampleSpace) Len() int { return len(v.pages) }
-
-func (v sampleSpace) Point(i int) cluster.Point { return v.space.Point(v.pages[i]) }
-
-func (v sampleSpace) Centroid(members []int) cluster.Point {
-	pages := make([]int, len(members))
-	for i, m := range members {
-		pages[i] = v.pages[m]
+	if len(dirty) == 0 {
+		return
 	}
-	return v.space.Centroid(pages)
+	if m.sims == nil {
+		m.sims = make([]float64, stride*stride)
+	}
+	pts := make([]cluster.Point, r)
+	for i, page := range m.res {
+		pts[i] = s.Point(page)
+	}
+	cluster.ParallelRange(len(dirty), 0, func(lo, hi, _ int) {
+		for _, a := range dirty[lo:hi] {
+			row := m.sims[a*stride : a*stride+r]
+			for j := range row {
+				row[j] = s.Sim(pts[a], pts[j])
+			}
+			for i := 0; i < r; i++ {
+				if !m.dirty[i] {
+					m.sims[i*stride+a] = s.Sim(pts[i], pts[a])
+				}
+			}
+		}
+	})
+	for _, a := range dirty {
+		m.dirty[a] = false
+	}
 }
 
-func (v sampleSpace) Sim(a, b cluster.Point) float64 { return v.space.Sim(a, b) }
+// silhouette is the silhouette coefficient restricted to the sample:
+// cluster.Silhouette over the reservoir slots, reading similarities
+// from the cache. Pages beyond the assignment count as unassigned, so
+// they score nothing.
+func (m *Monitor) silhouette(assign []int, k int) float64 {
+	sub := make([]int, len(m.res))
+	for slot, page := range m.res {
+		sub[slot] = -1
+		if page < len(assign) {
+			sub[slot] = assign[page]
+		}
+	}
+	return cluster.Silhouette(cachedSims{sims: m.sims, stride: m.cfg.SampleSize, n: len(m.res)}, sub, k)
+}
+
+// cachedSims views the reservoir as a space of its own: object i is
+// slot i, and Sim reads the monitor's cache.
+type cachedSims struct {
+	sims   []float64
+	stride int
+	n      int
+}
+
+func (v cachedSims) Len() int { return v.n }
+
+func (v cachedSims) Point(i int) cluster.Point { return i }
+
+func (v cachedSims) Sim(a, b cluster.Point) float64 { return v.sims[a.(int)*v.stride+b.(int)] }
+
+// Centroid is never called: cluster.Silhouette only compares points.
+func (v cachedSims) Centroid([]int) cluster.Point {
+	panic("quality: the cached sample space has no centroids")
+}

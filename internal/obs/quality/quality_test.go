@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cafc/internal/cluster"
 	"cafc/internal/obs"
+	"cafc/internal/stream"
 	"cafc/internal/vector"
+	"cafc/internal/webgen"
 )
 
 // twoBlobSpace builds n vectors in two well-separated vocabulary blobs:
@@ -236,5 +239,201 @@ func TestNilRegistryInert(t *testing.T) {
 	}
 	if v := reg.Gauge("quality_sample_size").Value(); v != 8 {
 		t.Fatalf("quality_sample_size = %v, want 8", v)
+	}
+}
+
+// sampledSilhouette is the uncached reference for the monitor's
+// silhouette: cluster.Silhouette over the sampled pages in reservoir
+// order, scoring every pair through the epoch's own space. Pages beyond
+// the assignment count as unassigned, so they score nothing.
+func sampledSilhouette(s cluster.Space, assign []int, k int, sample []int) float64 {
+	sub := make([]int, len(sample))
+	for pos, idx := range sample {
+		sub[pos] = -1
+		if idx < len(assign) {
+			sub[pos] = assign[idx]
+		}
+	}
+	return cluster.Silhouette(sampleSpace{space: s, pages: sample}, sub, k)
+}
+
+// sampleSpace views a sample of a space's objects as a space of its own:
+// object i is page pages[i]. The space is a named field, not embedded, so
+// no method of the whole space can read sample positions as page indices.
+type sampleSpace struct {
+	space cluster.Space
+	pages []int
+}
+
+func (v sampleSpace) Len() int { return len(v.pages) }
+
+func (v sampleSpace) Point(i int) cluster.Point { return v.space.Point(v.pages[i]) }
+
+func (v sampleSpace) Centroid(members []int) cluster.Point {
+	pages := make([]int, len(members))
+	for i, m := range members {
+		pages[i] = v.pages[m]
+	}
+	return v.space.Centroid(pages)
+}
+
+func (v sampleSpace) Sim(a, b cluster.Point) float64 { return v.space.Sim(a, b) }
+
+// TestCachedSilhouetteBitIdentical drives the real incremental model
+// through a manual stream pipeline: a 40-page founding batch (so the
+// 64-slot reservoir is still filling), then one page per record with a
+// forced rebuild every 25 records. At every published epoch the cached
+// silhouette must have the same bits as the uncached oracle over the
+// monitor's reservoir, and as a fresh monitor that sees only that epoch
+// (the reservoir does not depend on batching).
+func TestCachedSilhouetteBitIdentical(t *testing.T) {
+	const sampleSize, genesis, pages, rebuildEvery = 64, 40, 200, 25
+	c := webgen.Generate(webgen.Config{Seed: 2007, FormPages: pages})
+	docs := make([]stream.Doc, 0, len(c.FormPages))
+	for _, u := range c.FormPages {
+		docs = append(docs, stream.Doc{URL: u, HTML: c.ByURL[u].HTML})
+	}
+	cfg := Config{SampleSize: sampleSize, Seed: 9}
+	m := New(cfg)
+	var epochs, rebuilt int
+	l := stream.NewManual(stream.Config{K: 8, Seed: 3, OnPublish: func(e *stream.Epoch) {
+		qe := Epoch{Seq: e.Seq, Space: e.Model, Assign: e.Result.Assign, K: e.Result.K,
+			Centroids: e.Result.Centroids, Rebuilt: e.Rebuilt}
+		got := m.ObserveEpoch(qe, t0).Silhouette
+		oracle := sampledSilhouette(qe.Space, qe.Assign, qe.K, m.res)
+		fresh := New(cfg).ObserveEpoch(qe, t0).Silhouette
+		if math.Float64bits(got) != math.Float64bits(oracle) || math.Float64bits(got) != math.Float64bits(fresh) {
+			t.Errorf("epoch %d (rebuilt %v, %d pages): cached silhouette %v, uncached %v, fresh monitor %v",
+				e.Seq, e.Rebuilt, e.Model.Len(), got, oracle, fresh)
+		}
+		epochs++
+		if e.Rebuilt {
+			rebuilt++
+		}
+	}}, nil, nil)
+	apply := func(rec stream.Record) {
+		t.Helper()
+		if err := l.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(stream.Record{Docs: docs[:genesis]})
+	for i, d := range docs[genesis:] {
+		if i > 0 && i%rebuildEvery == 0 {
+			apply(stream.Record{})
+		}
+		apply(stream.Record{Docs: []stream.Doc{d}})
+	}
+	e := l.Current()
+	if got := len(m.Sample()); got != sampleSize || e.Model.Len() < 3*sampleSize/2 {
+		t.Fatalf("reservoir holds %d of %d pages, want it full with pages to spare", got, e.Model.Len())
+	}
+	if rebuilt < 2 || epochs < 100 {
+		t.Fatalf("%d epochs, %d rebuilt: the sequence does not exercise replacements and rebuilds", epochs, rebuilt)
+	}
+}
+
+// countingSpace counts Sim calls. The cache fill shards across
+// goroutines, hence the atomic.
+type countingSpace struct {
+	cluster.Space
+	calls *atomic.Int64
+}
+
+func (c countingSpace) Sim(a, b cluster.Point) float64 {
+	c.calls.Add(1)
+	return c.Space.Sim(a, b)
+}
+
+// TestSimCallsScaleWithReplacedSlots pins the monitor's work, not only
+// its value: with r filled slots, the first observation makes r² Sim
+// calls, a Rebuilt epoch r² plus churn's k centroid comparisons, an
+// epoch that fills or replaces d slots d(2r−d) plus k, and an epoch
+// with no new page exactly k.
+func TestSimCallsScaleWithReplacedSlots(t *testing.T) {
+	const sampleSize, k = 80, 2
+	s := twoBlobSpace(300)
+	m := New(Config{SampleSize: sampleSize, Seed: 4})
+	var calls atomic.Int64
+	observe := func(n int, rebuilt bool) (sims int64, r, d int) {
+		before := make(map[int]bool)
+		for _, p := range m.Sample() {
+			before[p] = true
+		}
+		sub := &cluster.VectorSpace{Vecs: s.Vecs[:n]}
+		e := twoBlobEpoch(int64(n), sub)
+		e.Space = countingSpace{Space: sub, calls: &calls}
+		e.Rebuilt = rebuilt
+		calls.Store(0)
+		m.ObserveEpoch(e, t0)
+		after := m.Sample()
+		for _, p := range after {
+			if !before[p] {
+				d++
+			}
+		}
+		return calls.Load(), len(after), d
+	}
+	full := func(r, d int) int { return r*r + k }
+	incremental := func(r, d int) int { return d*(2*r-d) + k }
+	steps := []struct {
+		name    string
+		n       int
+		rebuilt bool
+		want    func(r, d int) int
+	}{
+		{"first observation", 50, false, func(r, d int) int { return r * r }},
+		{"no new page", 50, false, incremental},
+		{"reservoir filling", 70, false, incremental},
+		{"reservoir replacing", 160, false, incremental},
+		{"no new page, full reservoir", 160, false, incremental},
+		{"rebuilt", 160, true, full},
+		{"rebuilt with new pages", 240, true, full},
+		{"replacing after rebuild", 300, false, incremental},
+	}
+	prev := 0
+	for _, st := range steps {
+		sims, r, d := observe(st.n, st.rebuilt)
+		if want := st.want(r, d); sims != int64(want) {
+			t.Errorf("%s (%d pages, %d slots, %d new): %d Sim calls, want %d", st.name, st.n, r, d, sims, want)
+		}
+		// An epoch that adds pages must change slots here, or its
+		// incremental count degenerates to churn alone.
+		if st.n > prev && d == 0 {
+			t.Errorf("%s: %d new pages changed no slot", st.name, st.n-prev)
+		}
+		prev = st.n
+	}
+}
+
+// skewSpace makes a space asymmetric: Sim(a, b) gains a term that
+// changes sign with the argument order.
+type skewSpace struct{ cluster.Space }
+
+type skewPoint struct {
+	p cluster.Point
+	i int
+}
+
+func (s skewSpace) Point(i int) cluster.Point { return skewPoint{s.Space.Point(i), i} }
+
+func (s skewSpace) Sim(a, b cluster.Point) float64 {
+	pa, pb := a.(skewPoint), b.(skewPoint)
+	return s.Space.Sim(pa.p, pb.p) + float64(pa.i-pb.i)/1e4
+}
+
+// TestCacheKeepsSimArgumentOrder: every cached cell holds Sim in the
+// order cluster.Silhouette asks for it, so the cache matches the
+// uncached path bit for bit even in a space where Sim(a, b) != Sim(b, a).
+func TestCacheKeepsSimArgumentOrder(t *testing.T) {
+	s := twoBlobSpace(120)
+	m := New(Config{SampleSize: 40, Seed: 6})
+	for _, n := range []int{30, 60, 90, 120} {
+		e := twoBlobEpoch(int64(n), &cluster.VectorSpace{Vecs: s.Vecs[:n]})
+		e.Space, e.Centroids, e.Rebuilt = skewSpace{e.Space}, nil, n == 90
+		got := m.ObserveEpoch(e, t0).Silhouette
+		if want := sampledSilhouette(e.Space, e.Assign, e.K, m.res); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d pages: cached silhouette %v, uncached %v", n, got, want)
+		}
 	}
 }

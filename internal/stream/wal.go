@@ -280,23 +280,51 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store directory and its WAL, and
-// counts the intact records already present.
+// counts the intact records already present. A torn or corrupt tail
+// (a crash mid-append) is truncated away before the first append: a
+// frame written behind it would be unreadable to every scan, so
+// followers would never receive it and the next recovery would lose it.
+// Only the directory's owner opens a Store, so no live writer is cut.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("stream: open store: %w", err)
 	}
-	s := &Store{dir: dir}
-	recs, err := s.Records()
+	frames, _, err := TailWAL(dir, 0)
 	if err != nil {
 		return nil, err
+	}
+	var intact int64
+	for _, fr := range frames {
+		intact += int64(len(fr.Raw))
 	}
 	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("stream: open wal: %w", err)
 	}
-	s.wal = f
-	s.records = int64(len(recs))
-	return s, nil
+	if err := truncateTail(f, intact); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Store{dir: dir, wal: f, records: int64(len(frames))}, nil
+}
+
+// truncateTail cuts the WAL back to its intact prefix of size bytes,
+// syncing the cut, when anything lies beyond it.
+func truncateTail(f *os.File, size int64) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("stream: open wal: %w", err)
+	}
+	if fi.Size() <= size {
+		return nil
+	}
+	if err := f.Truncate(size); err != nil {
+		return fmt.Errorf("stream: truncate torn wal tail: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("stream: sync wal truncation: %w", err)
+	}
+	return nil
 }
 
 // Dir returns the store's directory.

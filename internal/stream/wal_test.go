@@ -95,6 +95,44 @@ func TestStoreTornTailTruncates(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("torn tail: got %d records, want the 2 intact ones", len(got))
 	}
+	appendAfterDamage(t, s2, 2)
+}
+
+// appendAfterDamage appends one record to a store reopened over a
+// damaged WAL with `intact` good records, and checks that every view
+// sees it: the store's count, the replication read and a fresh Open.
+// The damaged bytes must be cut off first, or the new frame would sit
+// behind them where no scan reaches it.
+func appendAfterDamage(t *testing.T, s *Store, intact int) {
+	t.Helper()
+	next := rec("http://after-reopen/")
+	if err := s.Append(next); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(intact + 1)
+	if n := s.RecordCount(); n != want {
+		t.Errorf("RecordCount after append = %d, want %d", n, want)
+	}
+	frames, total, err := TailWAL(s.Dir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != want || len(frames) != int(want) || !reflect.DeepEqual(frames[intact].Rec, next) {
+		t.Errorf("TailWAL after append: %d frames of %d, want %d ending in the appended record", len(frames), total, want)
+	}
+	s3, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	got, err := s3.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != int(want) || !reflect.DeepEqual(got[intact], next) || s3.RecordCount() != want {
+		t.Errorf("reopen after append: %d records (RecordCount %d), want %d ending in the appended record",
+			len(got), s3.RecordCount(), want)
+	}
 }
 
 func TestStoreCorruptFrameStopsScan(t *testing.T) {
@@ -140,6 +178,7 @@ func TestStoreCorruptFrameStopsScan(t *testing.T) {
 	if len(got) != 1 || got[0].Docs[0].URL != "http://a/" {
 		t.Fatalf("corrupt frame: got %d records, want 1 intact prefix", len(got))
 	}
+	appendAfterDamage(t, s2, 1)
 }
 
 func TestSnapshotAtomicReplace(t *testing.T) {

@@ -82,7 +82,10 @@ type LiveConfig struct {
 // LiveConfig.Quality. Zero values select the defaults noted per field.
 type QualityConfig struct {
 	// SampleSize caps the reservoir sample the silhouette is computed
-	// over (0 = 256). Per-epoch cost is O(SampleSize²) similarities.
+	// over (0 = 256). The monitor caches the similarities between
+	// sampled pages (8·SampleSize² bytes, 512 KiB at the default), so an
+	// epoch costs O(SampleSize × replaced samples) similarities; the
+	// first epoch and every rebuild recompute all SampleSize² of them.
 	SampleSize int
 	// Seed drives the reservoir RNG (0 = LiveConfig.Seed), making the
 	// sample deterministic for a fixed corpus growth.
@@ -521,7 +524,10 @@ func (c *epochCell) get() *LiveEpoch {
 
 // qualityEpoch adapts a published stream epoch into the monitor's view.
 // Everything handed over is frozen: the model, the assignment and the
-// centroids never mutate after publish.
+// centroids never mutate after publish. The monitor's similarity cache
+// relies on the quality.Epoch contract, which the stream meets: an
+// appended epoch shares every earlier page's packed vectors, and only a
+// re-cluster, which sets Rebuilt, re-embeds them.
 func qualityEpoch(e *stream.Epoch) quality.Epoch {
 	return quality.Epoch{
 		Seq:       e.Seq,

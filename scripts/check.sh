@@ -19,9 +19,11 @@ go test -race ./...
 # directive; vet and test it here so an API change that breaks it fails
 # now rather than on the next benchmark run.
 (cd perfbench && go vet ./... && go test ./...)
-# The clustering kernels shard by GOMAXPROCS when Workers is 0: run them
-# at one and two CPUs so a hard-coded shard count fails on any host.
+# The clustering kernels shard by GOMAXPROCS when Workers is 0, and so
+# does the quality monitor's similarity-cache fill: run both at one and
+# two CPUs so a hard-coded shard count fails on any host.
 go test -race -cpu 1,2 ./internal/cluster
+go test -race -cpu 1,2 ./internal/obs/quality
 # Focused race pass over the live-pipeline packages: the streaming
 # ingester, the clustering kernels it drives (including the sharded
 # bound-pruned assignment path), the incremental model
