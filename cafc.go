@@ -385,11 +385,22 @@ type Prediction struct {
 // It fails when the document has no searchable form, and reports ok=false
 // when the page shares no vocabulary with the corpus.
 func (cf *Classifier) Classify(d Document) (Prediction, bool, error) {
-	fp, err := form.Parse(d.URL, d.HTML, cf.weights)
+	return classify(cf.inner, d, cf.weights)
+}
+
+// classify parses d and scores it straight from the parser's term
+// lists: the serve path builds no FormPage it would throw away.
+func classify(c *icafc.Classifier, d Document, w form.Weights) (Prediction, bool, error) {
+	var (
+		p  icafc.Prediction
+		ok bool
+	)
+	err := form.Terms(d.HTML, w, func(fc, pc []vector.WeightedTerm) {
+		p, ok = c.ClassifyTerms(fc, pc)
+	})
 	if err != nil {
 		return Prediction{}, false, fmt.Errorf("cafc: %s: %w", d.URL, err)
 	}
-	p, ok := cf.inner.Classify(fp)
 	return Prediction{Cluster: p.Cluster, Label: p.Label, Similarity: p.Similarity}, ok, nil
 }
 

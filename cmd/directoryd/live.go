@@ -110,7 +110,7 @@ func (ls *liveServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, cached, err := ls.live.Search(q, k)
+	body, cached, err := ls.live.SearchJSON(q, k)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -121,7 +121,7 @@ func (ls *liveServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Cache", "MISS")
 	}
-	json.NewEncoder(w).Encode(res)
+	w.Write(body)
 }
 
 // ingestRequest is one POST /ingest payload element.
@@ -135,7 +135,7 @@ func (ls *liveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -275,8 +275,8 @@ func (ls *liveServer) handleClassify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cold: no epoch published yet", http.StatusServiceUnavailable)
 		return
 	}
-	var req ingestRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+	req, err := readDoc(w, r)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -286,13 +286,24 @@ func (ls *liveServer) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"cluster":    p.Cluster,
-		"label":      p.Label,
-		"similarity": p.Similarity,
-		"ok":         ok,
-		"epoch":      e.Epoch,
+	json.NewEncoder(w).Encode(classifyAnswer{
+		Cluster:    p.Cluster,
+		Epoch:      e.Epoch,
+		Label:      p.Label,
+		OK:         ok,
+		Similarity: p.Similarity,
 	})
+}
+
+// classifyAnswer is the /classify response body. Its fields are in
+// sorted key order, so it encodes to the same bytes as a map of those
+// keys, without the map or the boxed values.
+type classifyAnswer struct {
+	Cluster    int     `json:"cluster"`
+	Epoch      int64   `json:"epoch"`
+	Label      string  `json:"label"`
+	OK         bool    `json:"ok"`
+	Similarity float64 `json:"similarity"`
 }
 
 // handleUI serves the current epoch's directory pages, or 503 before the

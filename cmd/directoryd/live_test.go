@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 
 	"cafc"
 	"cafc/internal/directory"
+	"cafc/internal/htmlx"
 	"cafc/internal/obs"
 	"cafc/internal/retry"
 	"cafc/internal/webgen"
@@ -199,7 +201,10 @@ func TestServeWhileIngest(t *testing.T) {
 // index equals the one directory.Build makes by re-parsing the epoch's
 // HTML. It checks every epoch a leader publishes while ingesting in small
 // batches, and the epoch a recovery of its state directory publishes,
-// whose index is rebuilt from the WAL's HTML.
+// whose index is rebuilt from the WAL's HTML. The browse pages the live
+// UI serves at each publish, each requested twice, must equal a fresh
+// render of that epoch: a page rendered once per epoch must not outlive
+// the epoch swap.
 func TestLiveUIMatchesBuild(t *testing.T) {
 	c := webgen.Generate(webgen.Config{Seed: 53, FormPages: 48})
 	var docs []cafc.Document
@@ -214,12 +219,24 @@ func TestLiveUIMatchesBuild(t *testing.T) {
 	var (
 		mu     sync.Mutex
 		epochs []*cafc.LiveEpoch
+		served []map[string]string // per epoch: browse path → body
 	)
+	ls := &liveServer{}
 	cfg := cafc.LiveConfig{
 		K: 4, Seed: 1, BatchSize: 4, FlushInterval: 5 * time.Millisecond, Dir: t.TempDir(),
 		OnPublish: func(e *cafc.LiveEpoch) {
+			ls.onPublish(e)
+			pages := make(map[string]string)
+			for _, path := range browsePaths(len(e.Clustering.Clusters)) {
+				first, second := browse(t, http.HandlerFunc(ls.handleUI), path), browse(t, http.HandlerFunc(ls.handleUI), path)
+				if first != second {
+					t.Errorf("epoch %d %s: a repeat request served different bytes", e.Epoch, path)
+				}
+				pages[path] = first
+			}
 			mu.Lock()
 			epochs = append(epochs, e)
+			served = append(served, pages)
 			mu.Unlock()
 		},
 		Search: &cafc.SearchConfig{},
@@ -257,8 +274,31 @@ func TestLiveUIMatchesBuild(t *testing.T) {
 	}
 
 	matched := 0
-	for _, e := range epochs {
+	for ei, e := range epochs {
 		labels := uiLabels(e)
+		fresh := directory.New(e.SearchIndex, labels).Handler()
+		for path, body := range served[ei] {
+			if want := browse(t, fresh, path); body != want {
+				t.Fatalf("epoch %d %s served:\n%s\na fresh render of the epoch is:\n%s", e.Epoch, path, body, want)
+			}
+		}
+		// The served pages list the epoch's own clusters: sizes on the
+		// front page, members in order on each cluster page.
+		for ci, urls := range e.Clustering.Clusters {
+			if !strings.Contains(served[ei]["/"], fmt.Sprintf(`<a href="/cluster?id=%d">%s</a> (%d databases)`, ci, htmlx.EscapeText(labels[ci]), len(urls))) {
+				t.Fatalf("epoch %d front page does not list cluster %d with %d members:\n%s", e.Epoch, ci, len(urls), served[ei]["/"])
+			}
+			var hrefs, want []string
+			for _, m := range hrefRE.FindAllStringSubmatch(served[ei][fmt.Sprintf("/cluster?id=%d", ci)], -1) {
+				hrefs = append(hrefs, m[1])
+			}
+			for _, u := range urls {
+				want = append(want, htmlx.EscapeAttr(u))
+			}
+			if !reflect.DeepEqual(hrefs, want) {
+				t.Fatalf("epoch %d cluster %d page lists %q, the epoch has %q", e.Epoch, ci, hrefs, urls)
+			}
+		}
 		html := make(map[string]string, len(e.Docs))
 		for _, d := range e.Docs {
 			html[d.URL] = d.HTML
@@ -298,6 +338,31 @@ func TestLiveUIMatchesBuild(t *testing.T) {
 	if matched == 0 {
 		t.Fatal("no query matched any cluster: the /select comparison is vacuous")
 	}
+}
+
+// hrefRE matches a cluster page's member links.
+var hrefRE = regexp.MustCompile(`<li><a href="([^"]*)">`)
+
+// browsePaths lists a k-cluster directory's browse pages: the front
+// page and every cluster's member page.
+func browsePaths(k int) []string {
+	paths := []string{"/"}
+	for c := 0; c < k; c++ {
+		paths = append(paths, fmt.Sprintf("/cluster?id=%d", c))
+	}
+	return paths
+}
+
+// browse returns the body h serves for a GET of path, failing unless
+// it is a 200.
+func browse(t *testing.T, h http.Handler, path string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("GET %s = %d", path, rec.Code)
+	}
+	return rec.Body.String()
 }
 
 // selectRows returns the database-selection page a directory UI serves
@@ -583,4 +648,38 @@ func TestQualityEndpoint(t *testing.T) {
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("/debug/quality without monitor = %d, want 404", resp2.StatusCode)
 	}
+}
+
+// TestBrowseConcurrentFirstRequests: readers that all ask for the same
+// browse pages at once, before any has been rendered, each get the
+// page's full bytes. Run under -race, it also checks that the render
+// happens-before every read of the cached bytes.
+func TestBrowseConcurrentFirstRequests(t *testing.T) {
+	ls, stop := newTestLiveServer(t)
+	defer stop()
+	e := ls.live.Epoch()
+	fresh := directory.New(e.SearchIndex, uiLabels(e)).Handler()
+	paths := browsePaths(len(e.Clustering.Clusters))
+	want := make(map[string]string, len(paths))
+	for _, p := range paths {
+		want[p] = browse(t, fresh, p)
+	}
+	h := ls.mux()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			<-start
+			for i := range paths {
+				p := paths[(i+r)%len(paths)]
+				if got := browse(t, h, p); got != want[p] {
+					t.Errorf("reader %d %s:\n%s\nwant:\n%s", r, p, got, want[p])
+				}
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
 }

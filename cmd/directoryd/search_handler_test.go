@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -82,6 +83,18 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 	if body != body2 {
 		t.Fatal("cached response differs from computed one")
+	}
+	// Both bodies are the bytes json.Encoder writes for the result.
+	res2, cached, err := ls.live.Search("hotel rooms", 8)
+	if err != nil || !cached {
+		t.Fatalf("Search = cached %v, %v; want the cached result", cached, err)
+	}
+	var enc bytes.Buffer
+	if err := json.NewEncoder(&enc).Encode(res2); err != nil {
+		t.Fatal(err)
+	}
+	if body2 != enc.String() {
+		t.Fatalf("cached /search body\n%s\ndiffers from the encoded result\n%s", body2, &enc)
 	}
 
 	if code, _, _ := get("/search"); code != http.StatusBadRequest {

@@ -7,6 +7,7 @@ import (
 	"cafc/internal/cluster"
 	"cafc/internal/form"
 	"cafc/internal/metrics"
+	"cafc/internal/vector"
 )
 
 // Classifier assigns new form pages to the domain of the nearest cluster
@@ -86,6 +87,13 @@ type Prediction struct {
 // pooled scores, with the same lowest-index tie break the ranked path's
 // sort produces.
 func (c *Classifier) Classify(fp *form.FormPage) (Prediction, bool) {
+	return c.ClassifyTerms(fp.FCTerms, fp.PCTerms)
+}
+
+// ClassifyTerms is Classify for a page given only its FC and PC term
+// occurrences (form.Terms), so a caller that keeps no FormPage need not
+// build one.
+func (c *Classifier) ClassifyTerms(fc, pc []vector.WeightedTerm) (Prediction, bool) {
 	if len(c.centroids) == 0 {
 		return Prediction{}, false
 	}
@@ -93,7 +101,7 @@ func (c *Classifier) Classify(fp *form.FormPage) (Prediction, bool) {
 	sc := e.pool.Get().(*classifyScratch)
 	defer e.pool.Put(sc)
 	best, bestSim := 0, -1.0
-	for i, sim := range e.score(sc, fp) {
+	for i, sim := range e.score(sc, fc, pc) {
 		if sim > bestSim {
 			best, bestSim = i, sim
 		}
@@ -109,7 +117,7 @@ func (c *Classifier) Rank(fp *form.FormPage) []Prediction {
 	sc := e.pool.Get().(*classifyScratch)
 	defer e.pool.Put(sc)
 	out := make([]Prediction, 0, len(c.centroids))
-	for i, sim := range e.score(sc, fp) {
+	for i, sim := range e.score(sc, fp.FCTerms, fp.PCTerms) {
 		out = append(out, Prediction{Cluster: i, Label: c.Labels[i], Similarity: sim})
 	}
 	sortPredictions(out)

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"cafc/internal/cluster"
-	"cafc/internal/form"
 	"cafc/internal/vector"
 )
 
@@ -147,27 +146,28 @@ func (e *classifyEngine) newScratch() *classifyScratch {
 	}
 }
 
-// score fills sc.sims with the page's Equation 3 similarity to every
-// centroid, restricted to the active feature spaces — the same values,
-// bit for bit, as model.Sim against each centroid.
-func (e *classifyEngine) score(sc *classifyScratch, fp *form.FormPage) []float64 {
+// score fills sc.sims with the Equation 3 similarity of a page with FC
+// terms fc and PC terms pc to every centroid, restricted to the active
+// feature spaces — the same values, bit for bit, as model.Sim against
+// each centroid.
+func (e *classifyEngine) score(sc *classifyScratch, fc, pc []vector.WeightedTerm) []float64 {
 	sims := sc.sims
 	switch e.feats {
 	case FCOnly:
-		q := sc.fc.embed(fp.FCTerms, e.fc, e.uniform)
+		q := sc.fc.embed(fc, e.fc, e.uniform)
 		e.fc.post.Dots(q, sims)
 		for c := range sims {
 			sims[c] = vector.CosineDot(sims[c], q.Norm, e.fc.post.Norm(c))
 		}
 	case PCOnly:
-		q := sc.pc.embed(fp.PCTerms, e.pc, e.uniform)
+		q := sc.pc.embed(pc, e.pc, e.uniform)
 		e.pc.post.Dots(q, sims)
 		for c := range sims {
 			sims[c] = vector.CosineDot(sims[c], q.Norm, e.pc.post.Norm(c))
 		}
 	default:
-		qp := sc.pc.embed(fp.PCTerms, e.pc, e.uniform)
-		qf := sc.fc.embed(fp.FCTerms, e.fc, e.uniform)
+		qp := sc.pc.embed(pc, e.pc, e.uniform)
+		qf := sc.fc.embed(fc, e.fc, e.uniform)
 		e.pc.post.Dots(qp, sc.simsPC)
 		e.fc.post.Dots(qf, sc.simsFC)
 		for c := range sims {

@@ -7,10 +7,13 @@
 package directory
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"cafc/internal/form"
 	"cafc/internal/htmlx"
@@ -21,13 +24,27 @@ import (
 // its search index stores.
 type Entry = search.Meta
 
-// Server is the directory state behind the HTTP handler.
+// Server is the directory state behind the HTTP handler. Its browse
+// pages are rendered once, on each page's first request, and served
+// from memory after that, so Labels and Clusters must not change once
+// the handler has served a page. A new directory state is a new Server:
+// the live directory builds one per epoch, which drops the previous
+// epoch's pages with it.
 type Server struct {
 	// Labels names each cluster.
 	Labels []string
 	// Clusters holds the member entries of each cluster.
 	Clusters [][]Entry
 	snap     *search.Snapshot
+	// pages holds the front page at index 0 and cluster i's member page
+	// at index i+1.
+	pages []page
+}
+
+// page is one browse page's HTML, rendered on its first request.
+type page struct {
+	once sync.Once
+	html []byte
 }
 
 // New serves a directory from a frozen search index: the clusters and
@@ -42,6 +59,7 @@ func New(snap *search.Snapshot, labels []string) *Server {
 		}
 		s.Labels = append(s.Labels, label)
 	}
+	s.pages = make([]page, len(s.Clusters)+1)
 	return s
 }
 
@@ -78,8 +96,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// serve writes page i, rendering it on its first request.
+func (s *Server) serve(w http.ResponseWriter, i int, render func(io.Writer)) {
+	p := &s.pages[i]
+	p.once.Do(func() {
+		var b bytes.Buffer
+		render(&b)
+		p.html = b.Bytes()
+	})
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	w.Write(p.html)
+}
+
 func writeHeader(w http.ResponseWriter, title string) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	writeHead(w, title)
+}
+
+func writeHead(w io.Writer, title string) {
 	fmt.Fprintf(w, "<html><head><title>%s</title></head><body><h1>%s</h1>\n",
 		htmlx.EscapeText(title), htmlx.EscapeText(title))
 	fmt.Fprint(w, `<p><a href="/">directory</a> · <form style="display:inline" action="/search"><input name="q"><input type="submit" value="Search pages"></form> · <form style="display:inline" action="/select"><input name="q"><input type="submit" value="Select databases"></form></p>`)
@@ -90,7 +124,11 @@ func (s *Server) front(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	writeHeader(w, "Hidden-Web Database Directory")
+	s.serve(w, 0, s.renderFront)
+}
+
+func (s *Server) renderFront(w io.Writer) {
+	writeHead(w, "Hidden-Web Database Directory")
 	fmt.Fprint(w, "<ul>\n")
 	for i, members := range s.Clusters {
 		fmt.Fprintf(w, `<li><a href="/cluster?id=%d">%s</a> (%d databases)</li>`+"\n",
@@ -105,7 +143,11 @@ func (s *Server) cluster(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown cluster", http.StatusNotFound)
 		return
 	}
-	writeHeader(w, "Cluster: "+s.Labels[id])
+	s.serve(w, id+1, func(w io.Writer) { s.renderCluster(w, id) })
+}
+
+func (s *Server) renderCluster(w io.Writer, id int) {
+	writeHead(w, "Cluster: "+s.Labels[id])
 	fmt.Fprint(w, "<ul>\n")
 	for _, e := range s.Clusters[id] {
 		fmt.Fprintf(w, `<li><a href="%s">%s</a> — %s</li>`+"\n",

@@ -114,7 +114,7 @@ func (f *Form) AttributeCount() int {
 func ExtractForms(doc *htmlx.Node) []*Form {
 	var out []*Form
 	for _, fn := range doc.FindAll("form") {
-		out = append(out, extractForm(fn))
+		out = append(out, extractForm(fn, true))
 	}
 	return out
 }
@@ -123,8 +123,10 @@ func ExtractForms(doc *htmlx.Node) []*Form {
 // text (byte-identical to fn.Text()), the controls in document order,
 // and the <label for=...> texts all come out of the same walk. Label
 // references resolve after the walk because a label may appear later in
-// the document than the control it names.
-func extractForm(fn *htmlx.Node) *Form {
+// the document than the control it names. Without options, select
+// fields carry no Options: IsSearchable never reads them, and they are
+// a string per <option>.
+func extractForm(fn *htmlx.Node, options bool) *Form {
 	f := &Form{
 		Action: fn.Attr0("action"),
 		Method: strings.ToUpper(htmlx.CollapseSpace(fn.Attr0("method"))),
@@ -203,10 +205,15 @@ func extractForm(fn *htmlx.Node) *Form {
 						Tag:  "select",
 						Name: n.Attr0("name"),
 					}
-					for _, opt := range n.FindAll("option") {
-						if t := opt.Text(); t != "" {
-							fld.Options = append(fld.Options, t)
-						}
+					if options {
+						n.Walk(func(c *htmlx.Node) bool {
+							if c.IsElement("option") {
+								if t := c.Text(); t != "" {
+									fld.Options = append(fld.Options, t)
+								}
+							}
+							return true
+						})
 					}
 					f.Fields = append(f.Fields, fld)
 					forIDs = append(forIDs, n.Attr0("id"))
@@ -270,8 +277,11 @@ func IsSearchable(f *Form) bool {
 	searchy := strings.Contains(blob, "search") || strings.Contains(blob, "find") ||
 		strings.Contains(blob, "browse") || strings.Contains(blob, "lookup") ||
 		strings.Contains(blob, "go")
+	if searchy {
+		return true
+	}
 	for _, marker := range nonSearchableMarkers {
-		if strings.Contains(blob, marker) && !searchy {
+		if strings.Contains(blob, marker) {
 			return false
 		}
 	}
@@ -352,18 +362,17 @@ var ErrNoSearchableForm = errors.New("form: page has no searchable form")
 // whose token→stem memo and output buffers persist across pages, so the
 // tokenize/stem cost of the term walks — the bulk of Parse — amortizes
 // toward zero allocations per document. Not safe for concurrent use;
-// the package-level Parse/FromDoc hand out pooled parsers, and the
-// ingest pipeline's shard workers each hold their own.
+// the package-level Parse/FromDoc/Terms hand out pooled parsers, and
+// the ingest pipeline's shard workers each hold their own.
 type Parser struct {
 	tk *text.Tokenizer
 	// arena backs the parse tree of the page in flight; it is recycled
 	// on the next Parse, which is why Parse severs Form.Node below.
 	arena *htmlx.Arena
-	// scratch stages a page's term walk so the retained FCTerms/PCTerms
-	// slices are single exact-size allocations instead of append-grown
-	// ones — no growth garbage, no capacity overshoot pinned in the
-	// model for the page's lifetime.
-	scratch []vector.WeightedTerm
+	// fc and pc stage a page's two term walks. Parse seals them into
+	// exact-size slices (no growth garbage, no capacity overshoot pinned
+	// in the model for the page's lifetime); Terms lends them out as is.
+	fc, pc []vector.WeightedTerm
 }
 
 // NewParser returns a parser with fresh tokenizer state.
@@ -371,10 +380,10 @@ func NewParser() *Parser {
 	return &Parser{tk: text.NewTokenizer(), arena: &htmlx.Arena{}}
 }
 
-// Parse builds the FormPage for an HTML document. It extracts all forms,
-// keeps the first searchable one (pages in the corpus are expected to be
-// form pages already filtered by the crawler), and computes both feature
-// spaces with the given location weights.
+// Parse builds the FormPage for an HTML document. It keeps the first
+// searchable form (pages in the corpus are expected to be form pages
+// already filtered by the crawler), and computes both feature spaces
+// with the given location weights.
 func (p *Parser) Parse(url, html string, w Weights) (*FormPage, error) {
 	p.arena.Reset()
 	fp, err := p.FromDoc(url, htmlx.ParseArena(html, p.arena), w)
@@ -389,35 +398,59 @@ func (p *Parser) Parse(url, html string, w Weights) (*FormPage, error) {
 
 // FromDoc is Parse for an already-parsed document.
 func (p *Parser) FromDoc(url string, doc *htmlx.Node, w Weights) (*FormPage, error) {
-	forms := ExtractForms(doc)
-	var chosen *Form
-	for _, f := range forms {
-		if IsSearchable(f) {
-			chosen = f
-			break
-		}
-	}
+	chosen := firstSearchable(doc, true)
 	if chosen == nil {
 		return nil, ErrNoSearchableForm
 	}
-	fp := &FormPage{
-		URL:   url,
-		Title: htmlx.Title(doc),
-		Form:  chosen,
-	}
-	fp.FCTerms = p.formContentTerms(chosen, w)
-	fp.PCTerms = p.pageContentTerms(doc, w)
-	return fp, nil
+	return &FormPage{
+		URL:     url,
+		Title:   htmlx.Title(doc),
+		Form:    chosen,
+		FCTerms: seal(p.formContentTerms(chosen, w)),
+		PCTerms: seal(p.pageContentTerms(doc, w)),
+	}, nil
 }
 
-// sealScratch copies the staged term walk into an exact-size slice the
-// caller may retain, leaving the scratch buffer for the next page.
-func (p *Parser) sealScratch() []vector.WeightedTerm {
-	if len(p.scratch) == 0 {
+// terms returns the FC and PC term occurrences Parse would put in the
+// page's FormPage, without building one. Both slices are the parser's
+// scratch: they are valid only until its next call.
+func (p *Parser) terms(html string, w Weights) (fc, pc []vector.WeightedTerm, err error) {
+	p.arena.Reset()
+	doc := htmlx.ParseArena(html, p.arena)
+	chosen := firstSearchable(doc, false)
+	if chosen == nil {
+		return nil, nil, ErrNoSearchableForm
+	}
+	return p.formContentTerms(chosen, w), p.pageContentTerms(doc, w), nil
+}
+
+// firstSearchable extracts the document's forms in order and returns
+// the first one IsSearchable accepts, or nil. Forms after it are never
+// extracted.
+func firstSearchable(doc *htmlx.Node, options bool) *Form {
+	var chosen *Form
+	doc.Walk(func(n *htmlx.Node) bool {
+		if chosen != nil {
+			return false
+		}
+		if n.IsElement("form") {
+			if f := extractForm(n, options); IsSearchable(f) {
+				chosen = f
+			}
+		}
+		return true
+	})
+	return chosen
+}
+
+// seal copies a staged term walk into an exact-size slice the caller may
+// retain, leaving the scratch for the next page.
+func seal(terms []vector.WeightedTerm) []vector.WeightedTerm {
+	if len(terms) == 0 {
 		return nil
 	}
-	out := make([]vector.WeightedTerm, len(p.scratch))
-	copy(out, p.scratch)
+	out := make([]vector.WeightedTerm, len(terms))
+	copy(out, terms)
 	return out
 }
 
@@ -442,18 +475,34 @@ func FromDoc(url string, doc *htmlx.Node, w Weights) (*FormPage, error) {
 	return p.FromDoc(url, doc, w)
 }
 
+// Terms hands use the FC and PC term occurrences Parse would put in
+// the page's FormPage, without building one. The slices are a pooled
+// parser's scratch: use must not retain them, as they go back to the
+// pool when it returns. Nothing is called when the page has no
+// searchable form.
+func Terms(html string, w Weights, use func(fc, pc []vector.WeightedTerm)) error {
+	p := parserPool.Get().(*Parser)
+	defer parserPool.Put(p)
+	fc, pc, err := p.terms(html, w)
+	if err != nil {
+		return err
+	}
+	use(fc, pc)
+	return nil
+}
+
 // formContentTerms extracts FC: the stemmed terms of the text between the
 // FORM tags, with option-tag content at the (lower) Option LOC factor, and
 // visible control text (submit values, labels, alt text) at the Form
 // factor. Hidden-field values are excluded.
 func (p *Parser) formContentTerms(f *Form, w Weights) []vector.WeightedTerm {
-	p.scratch = p.scratch[:0]
+	p.fc = p.fc[:0]
 	add := func(s string, loc float64) {
 		// tk.Terms reuses its output slice; the terms are copied into
 		// the scratch before the next call, so the aliasing never
 		// escapes.
 		for _, t := range p.tk.Terms(s) {
-			p.scratch = append(p.scratch, vector.WeightedTerm{Term: t, Loc: loc})
+			p.fc = append(p.fc, vector.WeightedTerm{Term: t, Loc: loc})
 		}
 	}
 	var walk func(n *htmlx.Node, inOption bool)
@@ -493,16 +542,16 @@ func (p *Parser) formContentTerms(f *Form, w Weights) []vector.WeightedTerm {
 	if f.Node != nil {
 		walk(f.Node, false)
 	}
-	return p.sealScratch()
+	return p.fc
 }
 
 // pageContentTerms extracts PC: every visible term on the page, with title
 // terms at the Title LOC factor and everything else at Body.
 func (p *Parser) pageContentTerms(doc *htmlx.Node, w Weights) []vector.WeightedTerm {
-	p.scratch = p.scratch[:0]
+	p.pc = p.pc[:0]
 	add := func(s string, loc float64) {
 		for _, t := range p.tk.Terms(s) {
-			p.scratch = append(p.scratch, vector.WeightedTerm{Term: t, Loc: loc})
+			p.pc = append(p.pc, vector.WeightedTerm{Term: t, Loc: loc})
 		}
 	}
 	var walk func(n *htmlx.Node, inTitle bool)
@@ -537,5 +586,5 @@ func (p *Parser) pageContentTerms(doc *htmlx.Node, w Weights) []vector.WeightedT
 		}
 	}
 	walk(doc, false)
-	return p.sealScratch()
+	return p.pc
 }

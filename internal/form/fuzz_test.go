@@ -2,10 +2,12 @@ package form_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"cafc/internal/form"
 	"cafc/internal/htmlx"
+	"cafc/internal/vector"
 	"cafc/internal/webgen"
 )
 
@@ -63,4 +65,49 @@ func FuzzParseForms(f *testing.F) {
 			t.Fatal("nil FormPage with nil error")
 		}
 	})
+}
+
+// TestTermsMatchParse: Terms lends out exactly the FC and PC term lists
+// Parse seals into its FormPage, and fails exactly when Parse does; and
+// Parse, which stops extracting at the first searchable form, keeps
+// the form a full ExtractForms pass would choose, option strings and
+// all.
+func TestTermsMatchParse(t *testing.T) {
+	pages := []string{
+		"",
+		"<form action=/login><input type=password name=p></form>",
+		"<form>log in</form><form action=/s><select name=g><option>rock<option>jazz</select><input type=submit value=Search></form><form><select name=late><option>x</select></form>",
+		"<form><select name=a><option>one<select name=b><option>two</select></select><input name=q></form>",
+	}
+	c := webgen.Generate(webgen.Config{Seed: 702, FormPages: 300})
+	for _, u := range c.FormPages {
+		pages = append(pages, c.ByURL[u].HTML)
+	}
+	for i, html := range pages {
+		fp, perr := form.Parse("http://terms.example/", html, form.DefaultWeights)
+		var fc, pc []vector.WeightedTerm
+		terr := form.Terms(html, form.DefaultWeights, func(f, p []vector.WeightedTerm) {
+			fc, pc = slices.Clone(f), slices.Clone(p)
+		})
+		if perr != terr {
+			t.Fatalf("page %d: Terms error %v, Parse error %v", i, terr, perr)
+		}
+		if perr != nil {
+			continue
+		}
+		if !slices.Equal(fc, fp.FCTerms) || !slices.Equal(pc, fp.PCTerms) {
+			t.Fatalf("page %d: Terms gave %d FC and %d PC terms, Parse %d and %d, or their values differ", i, len(fc), len(pc), len(fp.FCTerms), len(fp.PCTerms))
+		}
+		var first *form.Form
+		for _, f := range form.ExtractForms(htmlx.Parse(html)) {
+			if form.IsSearchable(f) {
+				first = f
+				break
+			}
+		}
+		first.Node = nil
+		if !reflect.DeepEqual(fp.Form, first) {
+			t.Fatalf("page %d: Parse kept form %+v, the first searchable of all forms is %+v", i, fp.Form, first)
+		}
+	}
 }

@@ -173,9 +173,10 @@ func farthestFirst(vecs []vector.Compiled, nf int) []int {
 // labelTerms extracts the top discriminative terms for a document group:
 // each term is scored by p·log(p/q), where p is its in-group document
 // frequency fraction and q its background (whole-index) fraction — high
-// for terms common inside the group and rare outside it. Term walks are
-// in ascending-ID order and the final sort breaks ties by ID, so labels
-// are deterministic. Stems are mapped back to surface forms for display.
+// for terms common inside the group and rare outside it. The top n are
+// selected under a total order (score descending, then term ID
+// ascending), so labels are deterministic whatever order the terms are
+// visited in. Stems are mapped back to surface forms for display.
 func (s *Snapshot) labelTerms(docs []uint32, n int) []string {
 	df := make(map[uint32]int)
 	for _, d := range docs {
@@ -183,11 +184,6 @@ func (s *Snapshot) labelTerms(docs []uint32, n int) []string {
 			df[id]++
 		}
 	}
-	ids := make([]uint32, 0, len(df))
-	for id := range df {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	type scored struct {
 		id uint32
@@ -196,11 +192,11 @@ func (s *Snapshot) labelTerms(docs []uint32, n int) []string {
 	var cands []scored
 	size := float64(len(docs))
 	total := float64(len(s.docs))
-	for _, id := range ids {
-		if len(docs) >= minFacetHits && df[id] < 2 {
+	for id, c := range df {
+		if len(docs) >= minFacetHits && c < 2 {
 			continue // one-document terms are noise in any real group
 		}
-		p := float64(df[id]) / size
+		p := float64(c) / size
 		q := float64(len(s.post[id])) / total
 		if sc := p * math.Log(p/q); sc > 0 {
 			cands = append(cands, scored{id: id, sc: sc})
@@ -209,21 +205,15 @@ func (s *Snapshot) labelTerms(docs []uint32, n int) []string {
 	if len(cands) == 0 {
 		// Degenerate group (e.g. the whole index): fall back to the most
 		// frequent in-group terms.
-		for _, id := range ids {
-			cands = append(cands, scored{id: id, sc: float64(df[id])})
+		for id, c := range df {
+			cands = append(cands, scored{id: id, sc: float64(c)})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].sc != cands[j].sc {
-			return cands[i].sc > cands[j].sc
-		}
-		return cands[i].id < cands[j].id
+	top := best(cands, n, func(a, b scored) bool {
+		return a.sc > b.sc || a.sc == b.sc && a.id < b.id
 	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]string, len(cands))
-	for i, c := range cands {
+	out := make([]string, len(top))
+	for i, c := range top {
 		out[i] = s.surface[c.id]
 	}
 	return out

@@ -1,7 +1,10 @@
 package search
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -106,6 +109,21 @@ func (s *Snapshot) idf(t uint32) float64 {
 // reports whether the result came from the cache. Results are immutable
 // — callers must not modify them.
 func (s *Snapshot) Search(q string, k int) (*Result, bool) {
+	e, cached := s.lookup(q, k)
+	return e.res, cached
+}
+
+// SearchJSON is Search answering with the result's JSON encoding: the
+// bytes json.NewEncoder(w).Encode writes for it, trailing newline
+// included. A cached result is encoded once, on the first SearchJSON
+// that asks for it. The bytes are shared: callers must not modify them.
+func (s *Snapshot) SearchJSON(q string, k int) ([]byte, bool) {
+	e, cached := s.lookup(q, k)
+	return e.json(), cached
+}
+
+// lookup serves (q, k) from the cache, or computes and caches it.
+func (s *Snapshot) lookup(q string, k int) (*entry, bool) {
 	if k <= 0 {
 		k = 10
 	}
@@ -114,39 +132,36 @@ func (s *Snapshot) Search(q string, k int) (*Result, bool) {
 	}
 	s.reg.Counter("search_requests_total").Inc()
 	key := strconv.Itoa(k) + "\x00" + q
-	if r, ok := s.cache.get(key); ok {
+	if e, ok := s.cache.get(key); ok {
 		s.reg.Counter("search_cache_hits_total").Inc()
-		return r, true
+		return e, true
 	}
 	s.reg.Counter("search_cache_misses_total").Inc()
 	t0 := time.Now()
-	r := s.search(q, k)
+	e := &entry{res: s.search(q, k)}
 	s.reg.Histogram("search_latency_seconds", obs.DurationBuckets).Observe(time.Since(t0).Seconds())
-	s.cache.put(key, r)
-	return r, false
+	s.cache.put(key, e)
+	return e, false
 }
 
 // search is the uncached query path: score, rank, cut to k, facet.
 func (s *Snapshot) search(q string, k int) *Result {
-	hits := s.rank(q)
-	r := &Result{Query: q, Epoch: s.Epoch, K: k, Total: len(hits)}
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	r.Hits = hits
+	hits, total := s.rank(q, k)
+	r := &Result{Query: q, Epoch: s.Epoch, K: k, Total: total, Hits: hits}
 	r.Facets = s.facets(hits)
 	return r
 }
 
-// rank scores every matching document and returns the full descending
-// ranking. Per-document partial sums accumulate in ascending-term-ID
-// order (the outer loop walks the sorted query IDs), so the float sums
-// are bit-identical across runs and replicas — the same discipline as
-// vector.Postings.Dots.
-func (s *Snapshot) rank(q string) []Hit {
+// rank scores every document matching q and returns how many match and
+// the best k of them (all of them when k < 0) in rank order: score
+// descending, then document ID ascending. Per-document partial sums
+// accumulate in ascending-term-ID order (the outer loop walks the
+// sorted query IDs), so the float sums are bit-identical across runs
+// and replicas — the same discipline as vector.Postings.Dots.
+func (s *Snapshot) rank(q string, k int) ([]Hit, int) {
 	qIDs, qTFs := s.queryVector(q)
 	if len(qIDs) == 0 {
-		return nil
+		return nil, 0
 	}
 	scores := make([]float64, len(s.docs))
 	var touched []uint32
@@ -165,17 +180,25 @@ func (s *Snapshot) rank(q string) []Hit {
 			scores[p.doc] += qw * p.w
 		}
 	}
-	hits := make([]Hit, 0, len(touched))
 	for _, d := range touched {
-		sc := scores[d]
 		if n := s.docs[d].norm; n > 0 {
-			sc /= n
+			scores[d] /= n
 		}
+	}
+	total := len(touched)
+	if k < 0 {
+		k = total
+	}
+	top := best(touched, k, func(a, b uint32) bool {
+		return scores[a] > scores[b] || scores[a] == scores[b] && a < b
+	})
+	hits := make([]Hit, len(top))
+	for i, d := range top {
 		h := Hit{
 			URL:     s.docs[d].URL,
 			Title:   s.docs[d].Title,
 			Cluster: -1,
-			Score:   sc,
+			Score:   scores[d],
 			doc:     d,
 		}
 		if int(d) < len(s.assign) {
@@ -184,15 +207,59 @@ func (s *Snapshot) rank(q string) []Hit {
 		if h.Cluster >= 0 && h.Cluster < len(s.labels) {
 			h.ClusterLabel = s.labels[h.Cluster]
 		}
-		hits = append(hits, h)
+		hits[i] = h
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	return hits, total
+}
+
+// best reorders items so that its first n elements are the n best under
+// better, in order, and returns them (all of items when n >= len). better
+// must be a strict total order. The selection keeps a bounded heap with
+// the worst kept item at its root, so only the kept items are sorted.
+func best[T any](items []T, n int, better func(a, b T) bool) []T {
+	if n > len(items) {
+		n = len(items)
+	}
+	top := items[:n]
+	if n > 0 && n < len(items) {
+		for i := n/2 - 1; i >= 0; i-- {
+			siftDown(top, i, better)
 		}
-		return hits[i].doc < hits[j].doc
+		for _, x := range items[n:] {
+			if better(x, top[0]) {
+				top[0] = x
+				siftDown(top, 0, better)
+			}
+		}
+	}
+	slices.SortFunc(top, func(a, b T) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
+		}
+		return 0
 	})
-	return hits
+	return top
+}
+
+// siftDown restores the heap below i in h, a heap whose every parent is
+// worse under better than its children.
+func siftDown[T any](h []T, i int, better func(a, b T) bool) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && better(h[worst], h[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // queryVector tokenizes the query through the paper's term pipeline and
@@ -231,7 +298,7 @@ type ClusterHit struct {
 // SearchClusters ranks clusters by the sum of their members' retrieval
 // scores, best-scoring cluster first (ties: lower cluster ID).
 func (s *Snapshot) SearchClusters(q string, limit int) []ClusterHit {
-	hits := s.rank(q)
+	hits, _ := s.rank(q, -1)
 	if s.k <= 0 {
 		return nil
 	}
@@ -281,25 +348,43 @@ func (s *Snapshot) SearchClusters(q string, limit int) []ClusterHit {
 type cache struct {
 	mu  sync.Mutex
 	cap int
-	m   map[string]*Result
+	m   map[string]*entry
+}
+
+// entry is one cached result and its JSON encoding, made on first use.
+type entry struct {
+	res  *Result
+	once sync.Once
+	body []byte
+}
+
+// json returns the bytes json.NewEncoder(w).Encode(e.res) writes. An
+// encoding error leaves them empty, as Encode writes nothing then.
+func (e *entry) json() []byte {
+	e.once.Do(func() {
+		var b bytes.Buffer
+		_ = json.NewEncoder(&b).Encode(e.res)
+		e.body = b.Bytes()
+	})
+	return e.body
 }
 
 func newCache(capacity int) *cache {
-	return &cache{cap: capacity, m: make(map[string]*Result)}
+	return &cache{cap: capacity, m: make(map[string]*entry)}
 }
 
-func (c *cache) get(key string) (*Result, bool) {
+func (c *cache) get(key string) (*entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.m[key]
-	return r, ok
+	e, ok := c.m[key]
+	return e, ok
 }
 
-func (c *cache) put(key string, r *Result) {
+func (c *cache) put(key string, e *entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.m) >= c.cap {
-		c.m = make(map[string]*Result)
+		c.m = make(map[string]*entry)
 	}
-	c.m[key] = r
+	c.m[key] = e
 }

@@ -146,12 +146,7 @@ type LiveEpoch struct {
 // Classify assigns a document to this epoch's nearest cluster —
 // lock-free with respect to ingestion, because the epoch is frozen.
 func (e *LiveEpoch) Classify(d Document) (Prediction, bool, error) {
-	fp, err := form.Parse(d.URL, d.HTML, e.Corpus.weights)
-	if err != nil {
-		return Prediction{}, false, fmt.Errorf("cafc: %s: %w", d.URL, err)
-	}
-	p, ok := e.classifier.Classify(fp)
-	return Prediction{Cluster: p.Cluster, Label: p.Label, Similarity: p.Similarity}, ok, nil
+	return classify(e.classifier, d, e.Corpus.weights)
 }
 
 // LiveStatus summarizes the live pipeline.

@@ -44,21 +44,27 @@ go test -run xxx -bench 'BenchmarkCosine|BenchmarkKMeansEngines|BenchmarkKMeans4
 # Allocation-regression smoke: the serve-path benches run once so a
 # change that reintroduces per-call allocations fails alongside the
 # zero-alloc tests instead of only showing up in BENCH_scale.json.
+# BenchmarkClassifyHandler is one whole /classify request.
 go test -run xxx -bench 'BenchmarkClassify|BenchmarkKMeansScale' \
-    -benchtime=1x ./internal/cafc
+    -benchmem -benchtime=1x ./internal/cafc ./cmd/directoryd
 
 # Fuzz smoke: a few seconds on each parser-facing target so the corpora
 # stay exercised and a crashing seed fails CI fast.
 go test -run xxx -fuzz FuzzTokenize -fuzztime 3s ./internal/htmlx
 go test -run xxx -fuzz FuzzParseForms -fuzztime 3s ./internal/form
+go test -run xxx -fuzz FuzzClassifyBody -fuzztime 3s ./cmd/directoryd
 
 # Metrics smoke: serve a small corpus with -metrics on a random port and
 # assert the Prometheus exposition is populated with domain telemetry.
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"
-      [ -n "${dpid:-}" ] && kill "$dpid" 2>/dev/null
-      [ -n "${fpid:-}" ] && kill "$fpid" 2>/dev/null
-      true' EXIT
+# stop ends a server this script started and waits for it to exit, so
+# none outlives the script or the state dir it is still writing.
+stop() {
+    [ -n "${1:-}" ] || return 0
+    kill "$1" 2>/dev/null || true
+    wait "$1" 2>/dev/null || true
+}
+trap 'stop "${fpid:-}"; stop "${dpid:-}"; rm -rf "$tmp"' EXIT
 go build -o "$tmp/webgen" ./cmd/webgen
 go build -o "$tmp/directoryd" ./cmd/directoryd
 go build -o "$tmp/benchall" ./cmd/benchall
@@ -100,7 +106,7 @@ for m in kmeans_moved_fraction crawler_fetch_seconds backlink_miss_total retry_t
     grep -q "^$m" "$tmp/metrics.txt" || { echo "check.sh: /metrics missing $m"; exit 1; }
 done
 curl -fsS "http://$addr/debug/pprof/" >/dev/null
-kill "$dpid"
+stop "$dpid"
 dpid=""
 
 # Degradation smoke: kill the backlink service mid-startup (after 10
@@ -122,7 +128,7 @@ grep -q '^degraded_runs_total' "$tmp/metrics2.txt" || {
     echo "check.sh: /metrics missing degraded_runs_total after backlink outage"; exit 1; }
 grep -q 'clustering degraded' "$tmp/directoryd2.log" || {
     echo "check.sh: directoryd did not log degraded clustering"; exit 1; }
-kill "$dpid"
+stop "$dpid"
 dpid=""
 
 # Live-ingest smoke: start directoryd in streaming mode with a durable
@@ -168,7 +174,7 @@ curl -fsS "http://$addr/cluster?id=0" | grep -q '<li><a href=' || {
     echo "check.sh: live /cluster?id=0 lists no member"; exit 1; }
 curl -fsS "http://$addr/select?q=hotel" | grep -q 'matching sources' || {
     echo "check.sh: live /select?q=hotel found no matching sources"; exit 1; }
-kill "$dpid"
+stop "$dpid"
 dpid=""
 
 # Load smoke: replay a short seeded mixed workload against a live
@@ -226,7 +232,7 @@ done
 curl -fsS "http://$addr/debug/quality" >"$tmp/quality.json"
 grep -q '"epoch"' "$tmp/quality.json" || { echo "check.sh: /debug/quality empty or malformed"; cat "$tmp/quality.json"; exit 1; }
 grep -q '"span_id"' "$tmp/directoryd4.log" || { echo "check.sh: -reqlog produced no structured request logs"; exit 1; }
-kill "$dpid"
+stop "$dpid"
 dpid=""
 
 # Replication smoke: a cold leader (every document WAL-logged, so a
@@ -324,9 +330,9 @@ grep -q '^replication_lag_epochs 0$' "$tmp/metrics5.txt" || {
     grep '^replication' "$tmp/metrics5.txt"; exit 1; }
 grep -q '^replication_applied_epoch' "$tmp/metrics5.txt" || {
     echo "check.sh: follower /metrics missing replication_applied_epoch"; exit 1; }
-kill "$fpid"
+stop "$fpid"
 fpid=""
-kill "$dpid"
+stop "$dpid"
 dpid=""
 
 echo "check.sh: all green"

@@ -79,21 +79,40 @@ func (s *searcher) sync(e *stream.Epoch) {
 // result itself is identical either way, so replicas stay
 // byte-identical regardless of cache state. Results are immutable.
 func (l *Live) Search(q string, k int) (*SearchResult, bool, error) {
-	if l.search == nil {
-		return nil, false, ErrSearchDisabled
-	}
-	snap := l.search.snap.Load()
-	if snap == nil {
-		return nil, false, ErrSearchCold
+	snap, err := l.searchSnapshot()
+	if err != nil {
+		return nil, false, err
 	}
 	r, cached := snap.Search(q, k)
 	return r, cached, nil
+}
+
+// SearchJSON is Search answering with the result's JSON encoding, the
+// bytes json.NewEncoder(w).Encode(result) writes. The epoch's cache
+// keeps each result's encoding, so a repeated query is not re-encoded.
+// The bytes are shared: callers must not modify them.
+func (l *Live) SearchJSON(q string, k int) ([]byte, bool, error) {
+	snap, err := l.searchSnapshot()
+	if err != nil {
+		return nil, false, err
+	}
+	b, cached := snap.SearchJSON(q, k)
+	return b, cached, nil
 }
 
 // SearchClusters ranks directory clusters by aggregate retrieval score
 // — the paper's database-selection primitive (which cluster of
 // hidden-web sources best answers the query).
 func (l *Live) SearchClusters(q string, limit int) ([]SearchClusterHit, error) {
+	snap, err := l.searchSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	return snap.SearchClusters(q, limit), nil
+}
+
+// searchSnapshot returns the current epoch's search index.
+func (l *Live) searchSnapshot() (*search.Snapshot, error) {
 	if l.search == nil {
 		return nil, ErrSearchDisabled
 	}
@@ -101,7 +120,7 @@ func (l *Live) SearchClusters(q string, limit int) ([]SearchClusterHit, error) {
 	if snap == nil {
 		return nil, ErrSearchCold
 	}
-	return snap.SearchClusters(q, limit), nil
+	return snap, nil
 }
 
 // SearchLabels returns the current epoch's per-cluster discriminative
