@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,9 +67,12 @@ type Config struct {
 	// SnapshotEvery checkpoints after every N applied records
 	// (0 = only on Drain).
 	SnapshotEvery int
-	// OnPublish observes every published epoch, in the worker
-	// goroutine, after the atomic swap. Serving layers use it to
-	// rebuild per-epoch artifacts (directory UI, classifier labels).
+	// OnPublish observes published epochs, in the worker goroutine,
+	// after the atomic swap. Serving layers use it to rebuild per-epoch
+	// artifacts (directory UI, classifier labels). Construction (New,
+	// NewManual) calls it once, for the epoch it ends on — the genesis,
+	// or the last epoch WAL replay produced — not for each replayed
+	// epoch; after that it sees every epoch.
 	OnPublish func(*Epoch)
 	// IngestWorkers shards the per-batch parse/tokenize/embed stage
 	// (0 = one per CPU, 1 = the serial reference path). Workers fill
@@ -245,6 +249,11 @@ type Live struct {
 	// through the atomic pointer.
 	manual bool
 
+	// replaying is set while the constructor stores the genesis and the
+	// replayed epochs: publish skips OnPublish, which then runs once for
+	// the last of them. Written only before the worker starts.
+	replaying bool
+
 	// simsBuf/scratchBuf are miniBatch's reusable scoring buffers. Only
 	// the single worker goroutine touches them, so plain fields suffice;
 	// they keep the per-point indexed scoring loop allocation-free.
@@ -257,17 +266,26 @@ type Live struct {
 	// above; CentroidWith resets them on every Compile, so reuse is
 	// bit-identical to fresh allocation.
 	pacc, facc *vector.Accumulator
+	// rescan holds the last drift rescan's page × centroid similarities,
+	// row-major (page i's k scores at [i*k, (i+1)*k)), and rescanSeq the
+	// epoch whose centroids and pages they score (0 = none). An epoch
+	// built any other way — genesis, a rebuild, a mini-batch drift
+	// discarded, an all-skipped record — leaves it invalid.
+	// Worker-goroutine-only.
+	rescan    []float64
+	rescanSeq int64
 }
 
 // New builds a Live pipeline, applies any pending WAL records through
 // the batch path synchronously (recovery replay), and starts the
 // worker.
 //
-// genesis, when non-nil, is published as the first epoch before replay;
-// it must already be reflected in the WAL (the caller owns genesis
-// durability, because only the caller knows whether this is a fresh
-// start or a recovery). A nil genesis starts cold at epoch 0 — the
-// first ingested batch founds the model.
+// genesis, when non-nil, is the first epoch replay builds on; it must
+// already be reflected in the WAL (the caller owns genesis durability,
+// because only the caller knows whether this is a fresh start or a
+// recovery). A nil genesis starts cold at epoch 0 — the first ingested
+// batch founds the model. Replay builds one epoch per record exactly as
+// the live path does, but only the epoch it ends on reaches OnPublish.
 func New(cfg Config, genesis *Epoch, pending []Record) *Live {
 	l := newLive(cfg, genesis, pending, false)
 	l.wg.Add(1)
@@ -307,6 +325,10 @@ func newLive(cfg Config, genesis *Epoch, pending []Record, manual bool) *Live {
 		}
 	}
 	cfg.Metrics.Gauge("stream_queue_capacity").Set(float64(cfg.QueueSize))
+	// No reader can see an epoch before the constructor returns, so the
+	// genesis and every replayed epoch are stored without notifying, and
+	// OnPublish runs once, for the epoch construction ends on.
+	l.replaying = true
 	if genesis != nil {
 		l.publish(genesis)
 	}
@@ -315,6 +337,10 @@ func newLive(cfg Config, genesis *Epoch, pending []Record, manual bool) *Live {
 		if reg := cfg.Metrics; reg != nil {
 			reg.Counter("stream_replayed_records_total").Inc()
 		}
+	}
+	l.replaying = false
+	if e := l.cur.Load(); e != nil && cfg.OnPublish != nil {
+		cfg.OnPublish(e)
 	}
 	return l
 }
@@ -479,10 +505,12 @@ func (l *Live) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close hard-stops the worker without flushing the queue or writing a
-// final snapshot — the crash-simulation path (tests kill a Live this
-// way to exercise WAL recovery). Durability holds regardless: every
-// applied batch was WAL-synced before it was acknowledged.
+// Close hard-stops the worker without flushing the queue, committing
+// buffered group-commit records or writing a final snapshot — the
+// crash-simulation path (tests kill a Live this way to exercise WAL
+// recovery, which then replays every record since the last snapshot).
+// Durability holds regardless: every applied batch outside group
+// commit was WAL-synced before it was acknowledged.
 func (l *Live) Close() {
 	l.draining.Store(true)
 	l.stopOnce.Do(func() { close(l.stop) })
@@ -544,10 +572,14 @@ func (l *Live) run() {
 			maybeCommit()
 		case <-l.stop:
 			// Graceful drain (Drain) and hard stop (Close) share the
-			// stop channel; Close marks the queue as abandoned by
-			// leaving draining handling to the caller. Distinguish by
-			// emptying the queue only when something is there — a hard
-			// stop raced nothing because tests call it quiesced.
+			// stop channel. Close keeps crash semantics: the queue, the
+			// partial batch and any buffered group-commit records are
+			// abandoned, and no final snapshot is written, exactly as a
+			// real crash would leave them — which is what the recovery
+			// tests simulate.
+			if !l.graceful.Load() {
+				return
+			}
 			for {
 				select {
 				case d := <-l.queue:
@@ -561,12 +593,9 @@ func (l *Live) run() {
 				break
 			}
 			flush()
-			// Drain (graceful) makes every accepted record durable before
-			// the worker exits; Close keeps crash semantics — buffered
-			// group-commit records are abandoned exactly as a real crash
-			// would abandon them, which is what the recovery tests
-			// simulate.
-			if l.graceful.Load() && l.cfg.Store != nil {
+			// Drain makes every accepted record durable before the final
+			// snapshot and the worker's exit.
+			if l.cfg.Store != nil {
 				if err := l.cfg.Store.Flush(); err != nil {
 					l.walErrors.Add(1)
 					l.cfg.Metrics.Counter("stream_wal_errors_total").Inc()
@@ -735,6 +764,9 @@ func (l *Live) buildEpoch(cur *Epoch, rec Record, fps []*form.FormPage, admitted
 			next.Rebuilt = true
 		} else {
 			next.Result = res
+			// The drift rescan scored exactly next's centroids, so the
+			// next mini-batch re-scores only the centroids it moves.
+			l.rescanSeq = next.Seq
 		}
 	}
 	if next.Rebuilt && cur != nil {
@@ -766,43 +798,86 @@ func (l *Live) recluster(m *icafc.Model) cluster.Result {
 // and the whole corpus is re-scored against the refreshed centroids to
 // measure drift (the fraction of pages whose nearest centroid is no
 // longer their assigned one).
+//
+// The re-score is incremental. l.rescan keeps every page's similarity
+// to every centroid from the last drift rescan; when that rescan scored
+// cur's own centroids (l.rescanSeq == cur.Seq), only the columns of the
+// centroids this batch moved are recomputed, and a new page's row comes
+// from its assignment pass. Every other epoch re-scores all pages
+// against all centroids. Both give the same similarities bit for bit:
+// the pages' packed vectors and the unmoved centroids are the ones the
+// cached scores were computed from, and SimOne equals Sims by the index
+// contract.
 func (l *Live) miniBatch(m *icafc.Model, cur *Epoch) (cluster.Result, float64) {
 	k := cur.Result.K
+	n0, n := len(cur.Result.Assign), m.Len()
 	centroids := append([]cluster.Point(nil), cur.Result.Centroids...)
-	assign := make([]int, m.Len())
+	assign := make([]int, n)
 	copy(assign, cur.Result.Assign)
 
+	warm := l.rescanSeq == cur.Seq && len(l.rescan) == n0*k
+	l.rescanSeq = 0 // buildEpoch revalidates once it keeps this result
+	if need := n*k - len(l.rescan); need > 0 {
+		l.rescan = slices.Grow(l.rescan, need)
+	}
+	l.rescan = l.rescan[:n*k]
+	row := func(i int) []float64 { return l.rescan[i*k : (i+1)*k] }
+
 	nearest := l.nearestFn(m, centroids)
-	touched := make(map[int]bool)
-	for i := len(cur.Result.Assign); i < m.Len(); i++ {
+	touched := make([]bool, k)
+	for i := n0; i < n; i++ {
 		best := nearest(i)
+		copy(row(i), l.simsBuf[:k])
 		assign[i] = best
 		touched[best] = true
 	}
+	scored := (n - n0) * k
 	if l.pacc == nil {
 		l.pacc = vector.NewAccumulator(0)
 		l.facc = vector.NewAccumulator(0)
 	}
 	members := cluster.Members(assign, k)
-	for c := range touched {
-		if len(members[c]) > 0 {
+	var cols []int
+	var moved []cluster.Point
+	for c, t := range touched {
+		if t {
 			// Pooled accumulators: the refresh used to allocate two
 			// vocabulary-sized arrays per touched cluster per batch.
 			centroids[c] = m.CentroidWith(members[c], l.pacc, l.facc)
+			cols = append(cols, c)
+			moved = append(moved, centroids[c])
 		}
 	}
 
-	// The refresh moved centroids, so the drift scan needs a fresh index.
-	nearest = l.nearestFn(m, centroids)
-	moved := 0
-	for i := 0; i < m.Len(); i++ {
-		if nearest(i) != assign[i] {
-			moved++
+	if warm {
+		ix := m.NewCentroidIndex(moved)
+		scratch := l.scratchBuf[:ix.ScratchLen()]
+		for i := 0; i < n; i++ {
+			r := row(i)
+			for j, c := range cols {
+				r[c] = ix.SimOne(scratch, i, j)
+			}
+		}
+		scored += n * len(cols)
+	} else {
+		nearest = l.nearestFn(m, centroids)
+		for i := 0; i < n; i++ {
+			nearest(i)
+			copy(row(i), l.simsBuf[:k])
+		}
+		scored += n * k
+	}
+	l.cfg.Metrics.Counter("stream_assign_sims_total").Add(int64(scored))
+
+	drifted := 0
+	for i := 0; i < n; i++ {
+		if nearestOf(row(i)) != assign[i] {
+			drifted++
 		}
 	}
 	drift := 0.0
-	if m.Len() > 0 {
-		drift = float64(moved) / float64(m.Len())
+	if n > 0 {
+		drift = float64(drifted) / float64(n)
 	}
 	return cluster.Result{Assign: assign, K: k, Centroids: centroids}, drift
 }
@@ -825,24 +900,31 @@ func (l *Live) nearestFn(m *icafc.Model, centroids []cluster.Point) func(i int) 
 	scratch := l.scratchBuf[:ix.ScratchLen()]
 	return func(i int) int {
 		ix.Sims(sims, scratch, i)
-		best, bestSim := 0, -1.0
-		for c, sim := range sims {
-			if sim > bestSim {
-				best, bestSim = c, sim
-			}
-		}
-		return best
+		return nearestOf(sims)
 	}
 }
 
-// publish swaps the epoch pointer and notifies observers.
+// nearestOf returns the centroid of highest similarity in one page's
+// scores, ties broken toward the lowest centroid index.
+func nearestOf(sims []float64) int {
+	best, bestSim := 0, -1.0
+	for c, sim := range sims {
+		if sim > bestSim {
+			best, bestSim = c, sim
+		}
+	}
+	return best
+}
+
+// publish swaps the epoch pointer and, outside construction, notifies
+// observers.
 func (l *Live) publish(e *Epoch) {
 	l.cur.Store(e)
 	l.lastPublishNano.Store(time.Now().UnixNano())
 	reg := l.cfg.Metrics
 	reg.Gauge("stream_epoch").Set(float64(e.Seq))
 	reg.Gauge("stream_corpus_pages").Set(float64(e.Model.Len()))
-	if l.cfg.OnPublish != nil {
+	if l.cfg.OnPublish != nil && !l.replaying {
 		l.cfg.OnPublish(e)
 	}
 }

@@ -182,26 +182,36 @@ func DecodeFrames(buf []byte) []Frame {
 // is cheap, and the leader pays it per poll rather than holding an
 // offset index that crash recovery would have to rebuild anyway.
 func TailWAL(dir string, from int64) ([]Frame, int64, error) {
-	f, err := os.Open(filepath.Join(dir, walName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("stream: read wal: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
 	var out []Frame
 	var total int64
-	for {
-		fr, err := readFrame(br)
-		if err != nil {
-			return out, total, nil // clean EOF or torn tail: stop at the durable prefix
-		}
+	err := scanWAL(dir, func(fr Frame) {
 		if total >= from {
 			out = append(out, fr)
 		}
 		total++
+	})
+	return out, total, err
+}
+
+// scanWAL calls fn with each intact frame of dir's WAL, in order. A
+// missing WAL is an empty one; a clean end or a torn tail ends the scan
+// at the durable prefix.
+func scanWAL(dir string, fn func(Frame)) error {
+	f, err := os.Open(filepath.Join(dir, walName))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("stream: read wal: %w", err)
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	for {
+		fr, err := readFrame(br)
+		if err != nil {
+			return nil
+		}
+		fn(fr)
 	}
 }
 
@@ -286,26 +296,34 @@ type Store struct {
 // followers would never receive it and the next recovery would lose it.
 // Only the directory's owner opens a Store, so no live writer is cut.
 func Open(dir string) (*Store, error) {
+	s, _, err := OpenRecords(dir)
+	return s, err
+}
+
+// OpenRecords is Open returning, too, the intact records its scan
+// decoded — what Records would read — so recovery reads the WAL once.
+// The Store keeps no reference to them.
+func OpenRecords(dir string) (*Store, []Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("stream: open store: %w", err)
+		return nil, nil, fmt.Errorf("stream: open store: %w", err)
 	}
-	frames, _, err := TailWAL(dir, 0)
-	if err != nil {
-		return nil, err
-	}
+	var recs []Record
 	var intact int64
-	for _, fr := range frames {
+	if err := scanWAL(dir, func(fr Frame) {
+		recs = append(recs, fr.Rec)
 		intact += int64(len(fr.Raw))
+	}); err != nil {
+		return nil, nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("stream: open wal: %w", err)
+		return nil, nil, fmt.Errorf("stream: open wal: %w", err)
 	}
 	if err := truncateTail(f, intact); err != nil {
 		f.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return &Store{dir: dir, wal: f, records: int64(len(frames))}, nil
+	return &Store{dir: dir, wal: f, records: int64(len(recs))}, recs, nil
 }
 
 // truncateTail cuts the WAL back to its intact prefix of size bytes,
@@ -531,15 +549,9 @@ func (s *Store) appendRaw(raw []byte) error {
 // intact prefix is the durable history, exactly as the sync protocol
 // guarantees.
 func (s *Store) Records() ([]Record, error) {
-	frames, _, err := TailWAL(s.dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Record, len(frames))
-	for i, f := range frames {
-		out[i] = f.Rec
-	}
-	return out, nil
+	var recs []Record
+	err := scanWAL(s.dir, func(fr Frame) { recs = append(recs, fr.Rec) })
+	return recs, err
 }
 
 // WriteSnapshot atomically replaces the store's snapshot with whatever

@@ -45,9 +45,12 @@ type LiveConfig struct {
 	// SnapshotEvery checkpoints after every N applied WAL records
 	// (0 = only on Drain).
 	SnapshotEvery int
-	// OnPublish observes every published epoch (in the ingest worker
+	// OnPublish observes published epochs (in the ingest worker
 	// goroutine, after the atomic swap) — serving layers rebuild their
-	// per-epoch artifacts here.
+	// per-epoch artifacts here. NewLive, RecoverLive and RecoverFollower
+	// call it once, for the epoch they return at; WAL replay does not
+	// publish the epochs it passes through. After that it sees every
+	// epoch.
 	OnPublish func(*LiveEpoch)
 	// Quality, when non-nil, attaches the online quality monitor: every
 	// published epoch is measured (sampled silhouette, cluster balance,
@@ -264,7 +267,11 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 // RecoverLive restarts a durable live directory from cfg.Dir: the
 // latest snapshot is loaded, the WAL tail beyond the snapshot's offset
 // is replayed through the same batch pipeline, and the result is the
-// exact pre-crash epoch. opts re-attach run options (Metrics, Retry),
+// exact pre-crash epoch. Replay builds every record's epoch (model,
+// assignment, drift and rebuild decisions, SnapshotEvery checkpoints)
+// but publishes only the last: the search index, the quality monitor
+// and cfg.OnPublish see the recovered epoch alone, so the quality
+// history starts there. opts re-attach run options (Metrics, Retry),
 // as with LoadCorpus. An empty directory starts cold, same as NewLive
 // with no corpus.
 //
@@ -296,7 +303,9 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	store, err := stream.Open(cfg.Dir)
+	// One scan of the WAL serves both the store's open (record count,
+	// torn-tail truncation) and the replay below.
+	store, recs, err := stream.OpenRecords(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -321,11 +330,6 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 		}
 	}
 
-	recs, err := store.Records()
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
 	off := int(info.WALOffset)
 	if off > len(recs) {
 		off = len(recs)
@@ -619,8 +623,11 @@ func (l *Live) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close hard-stops the pipeline without flushing or snapshotting — the
-// crash-simulation path. Applied batches are already WAL-durable.
+// Close hard-stops the pipeline as a crash would: queued documents are
+// dropped, buffered group-commit records are not committed, and no
+// final snapshot is written, so the next RecoverLive replays every WAL
+// record since the last snapshot. Applied batches outside group commit
+// are already WAL-durable.
 func (l *Live) Close() {
 	l.inner.Close()
 	if l.store != nil {

@@ -120,9 +120,15 @@ func TestLiveRecoverAfterCrash(t *testing.T) {
 		t.Fatal("NewLive on a dirty store must refuse")
 	}
 
-	r, err := RecoverLive(cfg)
+	reg := NewRegistry()
+	r, err := RecoverLive(cfg, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The only snapshot is the genesis one, so recovery must replay every
+	// record ingested before the crash.
+	if n := reg.Counter("stream_replayed_records_total").Value(); n != pre.Epoch-1 {
+		t.Fatalf("recovery replayed %d WAL records, want the %d since genesis", n, pre.Epoch-1)
 	}
 	got := r.Epoch()
 	if got == nil || got.Epoch != pre.Epoch {

@@ -36,9 +36,12 @@ go test -race ./internal/stream ./internal/repl ./internal/cluster ./internal/ca
     ./internal/search ./internal/obs ./internal/obs/quality ./internal/loadgen ./cmd/directoryd
 # Ingest fan-out under the race detector, run twice: the sharded
 # parse/embed pipeline at worker counts 1, 2, 3 and 8
-# (TestParallelIngestBitIdenticalEpochs sweeps them internally) plus
-# the WAL group-commit buffering, crash-recovery and close paths.
-go test -race -count 2 -run 'TestParallelIngest|TestGroupCommit' ./internal/stream
+# (TestParallelIngestBitIdenticalEpochs sweeps them internally), the
+# WAL group-commit buffering, crash-recovery and close paths, WAL
+# replay at construction (TestReplayPublishesOnce: one OnPublish, the
+# same epoch as a record-by-record follower) and the cached drift
+# rescan against the full rescan it replaces (TestDriftRescan*).
+go test -race -count 2 -run 'TestParallelIngest|TestGroupCommit|TestReplayPublishesOnce|TestDriftRescan' ./internal/stream
 go test -run xxx -bench 'BenchmarkCosine|BenchmarkKMeansEngines|BenchmarkKMeans454' \
     -benchtime=1x ./internal/vector ./internal/cluster .
 # Allocation-regression smoke: the serve-path benches run once so a
