@@ -32,9 +32,9 @@ func main() {
 		n       = flag.Int("n", 454, "form pages in the generated corpus")
 		seed    = flag.Int64("seed", 2007, "corpus seed")
 		runs    = flag.Int("runs", experiments.DefaultRuns, "CAFC-C averaging runs")
-		exp     = flag.String("exp", "all", "experiment: all | figure2 | table1 | figure3 | table2 | weights | hubstats | hacseeds | errors | seeding | hubdesign | futurework | postquery | selectk | engines | scaling | ingest | scale | load | cluster | search")
+		exp     = flag.String("exp", "all", "experiment: all | figure2 | table1 | figure3 | table2 | weights | hubstats | hacseeds | errors | seeding | hubdesign | futurework | postquery | selectk | engines | stats | scaling | ingest | scale | search")
 		sizes   = flag.String("sizes", "", "corpus sizes (default 100,200,454 for -exp scaling; 5000,20000,50000 for -exp scale; 454,5000,20000 for -exp ingest)")
-		jsonOut = flag.String("json", "", "output file (default BENCH_ingest.json for -exp ingest; BENCH_scale.json for -exp scale; BENCH_load.json for -exp load; BENCH_search.json for -exp search)")
+		jsonOut = flag.String("json", "", "output file (default BENCH_ingest.json for -exp ingest; BENCH_scale.json for -exp scale; BENCH_search.json for -exp search)")
 		metrics = flag.Bool("metrics", false, "collect run telemetry and dump the metrics snapshot to stderr on exit")
 	)
 	flag.Parse()
@@ -65,32 +65,12 @@ func main() {
 		}
 		return
 	}
-	if *exp == "load" {
-		res, err := loadBench(*n, *seed, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeLoadJSON(res, defaultStr(*jsonOut, "BENCH_load.json")); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *exp == "search" {
 		res, err := searchBench(*n, *seed, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := writeSearchJSON(res, defaultStr(*jsonOut, "BENCH_search.json")); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *exp == "cluster" {
-		res, err := clusterBench(*n, *seed, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeClusterJSON(res, defaultStr(*jsonOut, "BENCH_cluster.json")); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cafc"
-	"cafc/internal/loadgen"
 	"cafc/internal/obs"
 	"cafc/internal/text"
 	"cafc/internal/webgen"
@@ -64,26 +63,25 @@ const searchTopK = 10
 // JSON: the same contract the leader/follower test pins, checked here
 // end to end.
 func searchBench(n int, seed int64, reg *obs.Registry) (searchResult, error) {
-	fx := loadgen.NewFixture(seed, n)
-	all := append(append([]cafc.Document(nil), fx.Genesis...), fx.Pool...)
-	if len(fx.Queries) == 0 {
+	fx := newFixture(seed, n)
+	if len(fx.queries) == 0 {
 		return searchResult{}, fmt.Errorf("fixture generated no queries")
 	}
 	k := len(webgen.Domains)
 
-	live, err := startSearchDirectory(all, k, seed, reg)
+	live, err := startSearchDirectory(fx.docs, k, seed, reg)
 	if err != nil {
 		return searchResult{}, err
 	}
 	defer live.Close()
 
 	// Cold pass: every query is a first sight for this epoch's cache.
-	coldLat := make([]float64, 0, len(fx.Queries))
-	coldBytes := make([][]byte, 0, len(fx.Queries))
-	results := make([]*cafc.SearchResult, 0, len(fx.Queries))
+	coldLat := make([]float64, 0, len(fx.queries))
+	coldBytes := make([][]byte, 0, len(fx.queries))
+	results := make([]*cafc.SearchResult, 0, len(fx.queries))
 	hits := 0
 	coldStart := time.Now()
-	for _, q := range fx.Queries {
+	for _, q := range fx.queries {
 		t0 := time.Now()
 		res, cached, err := live.Search(q, searchTopK)
 		coldLat = append(coldLat, time.Since(t0).Seconds())
@@ -103,9 +101,9 @@ func searchBench(n int, seed int64, reg *obs.Registry) (searchResult, error) {
 	coldElapsed := time.Since(coldStart)
 
 	// Cached pass: the same queries against the same epoch must all hit.
-	cachedLat := make([]float64, 0, len(fx.Queries))
+	cachedLat := make([]float64, 0, len(fx.queries))
 	cachedStart := time.Now()
-	for _, q := range fx.Queries {
+	for _, q := range fx.queries {
 		t0 := time.Now()
 		_, cached, err := live.Search(q, searchTopK)
 		cachedLat = append(cachedLat, time.Since(t0).Seconds())
@@ -121,11 +119,11 @@ func searchBench(n int, seed int64, reg *obs.Registry) (searchResult, error) {
 	// Byte-identity contract: a fresh directory at the same seed answers
 	// every query with the exact bytes of the first.
 	identical := true
-	live2, err := startSearchDirectory(all, k, seed, nil)
+	live2, err := startSearchDirectory(fx.docs, k, seed, nil)
 	if err != nil {
 		return searchResult{}, err
 	}
-	for i, q := range fx.Queries {
+	for i, q := range fx.queries {
 		res, _, err := live2.Search(q, searchTopK)
 		if err != nil {
 			live2.Close()
@@ -150,8 +148,8 @@ func searchBench(n int, seed int64, reg *obs.Registry) (searchResult, error) {
 		TopK:      searchTopK,
 		Cold:      summarizeSearch(coldLat, coldElapsed),
 		Cached:    summarizeSearch(cachedLat, cachedElapsed),
-		HitRatio:  float64(hits) / float64(len(fx.Queries)),
-		Quality:   scoreSearch(results, fx.Labels, live.SearchLabels(), identical),
+		HitRatio:  float64(hits) / float64(len(fx.queries)),
+		Quality:   scoreSearch(results, fx.labels, live.SearchLabels(), identical),
 	}, nil
 }
 
@@ -184,7 +182,7 @@ func summarizeSearch(lat []float64, elapsed time.Duration) searchLatency {
 }
 
 // nearestRank is the nearest-rank quantile of an ascending-sorted
-// sample — the same definition loadgen reports.
+// sample: the element at index ⌊q·n⌋, clamped to the last.
 func nearestRank(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0

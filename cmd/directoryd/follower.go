@@ -61,7 +61,7 @@ func (fs *followerServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		healthErr(w, "read-only", "follower has no leader to forward writes to")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -81,7 +81,7 @@ func (fs *followerServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz is the follower readiness probe: 503 while cold, 503
 // "stale" with a JSON reason once replication lag passes the threshold
-// — the signal a router uses to stop sending reads here.
+// — the signal a load balancer uses to stop sending reads here.
 func (fs *followerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if fs.live.Epoch() == nil {
 		healthErr(w, "cold", "no epoch replicated yet")

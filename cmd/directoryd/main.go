@@ -14,15 +14,14 @@
 //
 //	directoryd -role leader -in "" -data ./lead              # live + /repl/*
 //	directoryd -role follower -leader http://host:8080 -data ./foll
-//	directoryd -role router -leader http://lead:8080 -replicas http://lead:8080,http://foll:8081
 //
 // A leader is a live directory that additionally streams its WAL at
 // /repl/wal and its snapshot at /repl/snapshot. A follower bootstraps
 // from those, tails the WAL with backoff, serves read-only /classify
 // and browse traffic, forwards POST /ingest to the leader, and degrades
-// /healthz once replication lag exceeds -max-lag. A router is
-// stateless: it health-checks the replicas, fans reads across the
-// healthy ones and sends writes to the leader.
+// /healthz once replication lag exceeds -max-lag, so any HTTP load
+// balancer over the leader and its followers spreads reads and drops a
+// stale replica.
 //
 // Endpoints: /  /cluster?id=N  /search?q=...  /select?q=...  /healthz
 // With -live: POST /ingest, GET /status, POST /classify, GET
@@ -30,10 +29,11 @@
 // hot-swaps on every published model epoch, and /healthz reports 503
 // while cold or degraded (saturated ingest queue, open circuit breaker).
 // With -metrics: /metrics (Prometheus text), /debug/vars (JSON),
-// /debug/trace (startup spans), /debug/pprof/*; -slo-classify-ms and
-// -slo-ingest-ms set the latency objectives behind the per-endpoint
-// error-budget burn gauges, and -reqlog adds structured JSON request
-// logs carrying trace ids.
+// /debug/trace (recent spans: startup phases, which only static mode
+// records, and one span per request with -reqlog), /debug/pprof/*;
+// -slo-classify-ms and -slo-ingest-ms set the latency objectives behind
+// the per-endpoint error-budget burn gauges, and -reqlog adds
+// structured JSON request logs carrying trace ids.
 package main
 
 import (
@@ -78,24 +78,22 @@ func main() {
 		// Live-mode flags (see runLive).
 		live = flag.Bool("live", false, "streaming mode: POST /ingest grows the directory while it serves")
 		data = flag.String("data", "", "durable state dir for -live (WAL + snapshots); recovery wins over -in")
-		// Replication flags (see follower.go / router.go).
-		role           = flag.String("role", "", "replication role: leader | follower | router (empty = standalone)")
-		leader         = flag.String("leader", "", "leader base URL (follower: replication source + write forwarding; router: write target)")
-		replicas       = flag.String("replicas", "", "comma-separated replica base URLs the router fans reads across")
-		maxLag         = flag.Int64("max-lag", 64, "follower staleness threshold: /healthz degrades once replication lag exceeds this many epochs")
-		replPoll       = flag.Duration("repl-poll", 200*time.Millisecond, "follower replication poll interval")
-		healthInterval = flag.Duration("health-interval", time.Second, "router replica health-check interval")
-		batch          = flag.Int("batch", 0, "live ingest batch size (0 = default)")
-		queue          = flag.Int("queue", 0, "live ingest queue bound (0 = default)")
-		flush          = flag.Duration("flush", 0, "live partial-batch flush interval (0 = default)")
-		drift          = flag.Float64("drift", 0, "reassignment fraction that triggers a full re-cluster (0 = default, >=1 disables)")
-		snapshotEvery  = flag.Int("snapshot-every", 0, "checkpoint a snapshot every N WAL records (0 = only on drain)")
-		ingestWorkers  = flag.Int("ingest-workers", 0, "parse/embed shard count per ingest batch (0 = one per CPU, 1 = serial; epochs are identical for every value)")
-		groupCommit    = flag.Int("group-commit", 0, "batch up to N WAL records per fsync (0 = fsync per record; leaders only, a crash loses at most the unacknowledged buffer)")
-		commitWindow   = flag.Duration("commit-window", 0, "max time a buffered WAL record waits for its group fsync (0 = flush interval)")
-		sloClassifyMS  = flag.Float64("slo-classify-ms", 50, "classify latency objective in ms (burn gauges need -metrics)")
-		sloIngestMS    = flag.Float64("slo-ingest-ms", 20, "ingest latency objective in ms (burn gauges need -metrics)")
-		reqlog         = flag.Bool("reqlog", false, "structured JSON request logs on stderr (live mode)")
+		// Replication flags (see follower.go).
+		role          = flag.String("role", "", "replication role: leader | follower (empty = standalone)")
+		leader        = flag.String("leader", "", "leader base URL (follower: replication source + write forwarding)")
+		maxLag        = flag.Int64("max-lag", 64, "follower staleness threshold: /healthz degrades once replication lag exceeds this many epochs")
+		replPoll      = flag.Duration("repl-poll", 200*time.Millisecond, "follower replication poll interval")
+		batch         = flag.Int("batch", 0, "live ingest batch size (0 = default)")
+		queue         = flag.Int("queue", 0, "live ingest queue bound (0 = default)")
+		flush         = flag.Duration("flush", 0, "live partial-batch flush interval (0 = default)")
+		drift         = flag.Float64("drift", 0, "reassignment fraction that triggers a full re-cluster (0 = default, >=1 disables)")
+		snapshotEvery = flag.Int("snapshot-every", 0, "checkpoint a snapshot every N WAL records (0 = only on drain)")
+		ingestWorkers = flag.Int("ingest-workers", 0, "parse/embed shard count per ingest batch (0 = one per CPU, 1 = serial; epochs are identical for every value)")
+		groupCommit   = flag.Int("group-commit", 0, "batch up to N WAL records per fsync (0 = fsync per record; leaders only, a crash loses at most the unacknowledged buffer)")
+		commitWindow  = flag.Duration("commit-window", 0, "max time a buffered WAL record waits for its group fsync (0 = flush interval)")
+		sloClassifyMS = flag.Float64("slo-classify-ms", 50, "classify latency objective in ms (burn gauges need -metrics)")
+		sloIngestMS   = flag.Float64("slo-ingest-ms", 20, "ingest latency objective in ms (burn gauges need -metrics)")
+		reqlog        = flag.Bool("reqlog", false, "structured JSON request logs on stderr (live mode)")
 	)
 	flag.Parse()
 
@@ -117,9 +115,9 @@ func main() {
 	}
 
 	switch *role {
-	case "", "leader", "follower", "router":
+	case "", "leader", "follower":
 	default:
-		log.Fatalf("unknown -role %q (leader | follower | router)", *role)
+		log.Fatalf("unknown -role %q (leader | follower)", *role)
 	}
 
 	lp := liveParams{
@@ -143,23 +141,6 @@ func main() {
 		sloIngestMS:   *sloIngestMS,
 		reqlog:        *reqlog,
 		role:          *role,
-	}
-
-	if *role == "router" {
-		sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-		defer stop()
-		err := runRouter(routerParams{
-			addr:     *addr,
-			leader:   *leader,
-			replicas: splitList(*replicas),
-			interval: *healthInterval,
-			metrics:  *metrics,
-			reqlog:   *reqlog,
-		}, reg, ring, tracer, sigCtx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if *role == "follower" {
@@ -302,17 +283,6 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
-}
-
-// splitList parses a comma-separated URL list, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(strings.TrimRight(f, "/")); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // probeFetchHealth exercises the crawler's fetch path over real loopback

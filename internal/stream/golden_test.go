@@ -173,3 +173,48 @@ func TestDecodeFramesTornTail(t *testing.T) {
 		t.Fatalf("corrupt second frame: decoded %d frames, want 1", len(got))
 	}
 }
+
+// TestStoreTornTailEveryCut carries TestDecodeFramesTornTail's contract
+// to the on-disk path: the golden log cut at any byte opens to exactly
+// the whole frames before the cut, and a record appended after the
+// reopen is seen by every reader. A group-committing leader writes the
+// same bytes, so each cut stands for its crash points too.
+func TestStoreTornTailEveryCut(t *testing.T) {
+	full, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	end := 0
+	for _, f := range DecodeFrames(full) {
+		end += len(f.Raw)
+		ends = append(ends, end)
+	}
+	if end != len(full) {
+		t.Fatalf("golden log decodes to %d of its %d bytes", end, len(full))
+	}
+	for cut := 0; cut <= len(full); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walName), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		whole := 0
+		for _, e := range ends {
+			if cut >= e {
+				whole++
+			}
+		}
+		if n := s.RecordCount(); n != int64(whole) {
+			t.Fatalf("cut at %d: RecordCount = %d, want %d", cut, n, whole)
+		}
+		appendAfterDamage(t, s, whole)
+		s.Close()
+		if t.Failed() {
+			t.Fatalf("append after a cut at %d failed", cut)
+		}
+	}
+}

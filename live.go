@@ -479,11 +479,13 @@ func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stre
 			l.search.sync(e)
 			snap = l.search.snap.Load()
 		}
-		// The expensive public view (clustering maps, top-term labels,
-		// classifier — all O(corpus)) materializes on the first Epoch()
-		// read, not here: during bulk ingest most epochs are superseded
-		// before anyone looks at them, and the ingest worker should only
-		// ever pay O(batch) per publish.
+		// The expensive public view (URL slice, clustering maps,
+		// top-term labels, classifier — all O(corpus)) materializes on
+		// the first Epoch() read: during bulk ingest most epochs are
+		// superseded before anyone looks at them. A configured OnPublish
+		// hook receives that view, so with a hook (directoryd always sets
+		// one) the worker builds it below for every epoch. ROADMAP's
+		// "Make epoch construction actually O(batch)" item tracks this.
 		cell := &epochCell{conv: func() *LiveEpoch {
 			le := convertEpoch(e, l.weights, l.retry, l.skip)
 			if snap != nil {

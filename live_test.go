@@ -219,15 +219,19 @@ func TestNewLiveErrorsLeaveNothingOpen(t *testing.T) {
 // API: a live directory with the quality monitor attached (registry and
 // all) must publish bit-identical clusterings to one without. The
 // comparison is over the final forced re-cluster, which is deterministic
-// for a fixed seed and document sequence regardless of how the
-// intermediate batches fell.
+// for a fixed seed and document sequence. The SnapshotReproducible
+// subtest requires a second monitored run to end on the same quality
+// snapshot as the first.
 func TestLiveQualityInert(t *testing.T) {
 	docs, labels, _, _ := testDocs(t, 31, 40)
 
-	run := func(q *QualityConfig, reg *Registry) (*Live, map[string]int) {
+	run := func(t *testing.T, q *QualityConfig, reg *Registry) (*Live, map[string]int) {
 		t.Helper()
+		// An hour-long flush interval cuts a batch only once BatchSize
+		// documents are queued, so the epoch history, and with it every
+		// quality number, is a pure function of the document sequence.
 		l, err := NewLive(nil, nil, nil, LiveConfig{
-			K: 4, Seed: 7, BatchSize: 8, FlushInterval: 5 * time.Millisecond,
+			K: 4, Seed: 7, BatchSize: 8, FlushInterval: time.Hour,
 			Quality: q,
 		}, Options{Metrics: reg})
 		if err != nil {
@@ -253,9 +257,9 @@ func TestLiveQualityInert(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	withQ, assignQ := run(&QualityConfig{SampleSize: 64, Labels: labels}, reg)
+	withQ, assignQ := run(t, &QualityConfig{SampleSize: 64, Labels: labels}, reg)
 	defer withQ.Close()
-	plain, assignPlain := run(nil, nil)
+	plain, assignPlain := run(t, nil, nil)
 	defer plain.Close()
 
 	if len(assignQ) != len(docs) {
@@ -285,6 +289,16 @@ func TestLiveQualityInert(t *testing.T) {
 	if v := reg.Gauge("quality_sample_size").Value(); v == 0 {
 		t.Fatalf("quality gauges not published (sample_size = %v)", v)
 	}
+	t.Run("SnapshotReproducible", func(t *testing.T) {
+		again, _ := run(t, &QualityConfig{SampleSize: 64, Labels: labels}, nil)
+		defer again.Close()
+		snap2, _ := again.Quality()
+		want := snap
+		want.Time, snap2.Time = time.Time{}, time.Time{} // the one wall-clock field
+		if !reflect.DeepEqual(want, snap2) {
+			t.Fatalf("final quality snapshot not reproducible at a fixed seed:\n run 1: %+v\n run 2: %+v", want, snap2)
+		}
+	})
 
 	// Without a monitor the accessors answer empty, not panic.
 	if _, ok := plain.Quality(); ok {

@@ -30,10 +30,9 @@ go test -race -cpu 1,2 ./internal/obs/quality
 # with its parallel build, the replication layer (server, tailer and the
 # chaos suite), the search index (concurrent readers over the frozen
 # snapshot while the builder appends), and the observability layer
-# (histograms under concurrent Observe, the quality monitor, the load
-# driver).
+# (histograms under concurrent Observe, the quality monitor).
 go test -race ./internal/stream ./internal/repl ./internal/cluster ./internal/cafc \
-    ./internal/search ./internal/obs ./internal/obs/quality ./internal/loadgen ./cmd/directoryd
+    ./internal/search ./internal/obs ./internal/obs/quality ./cmd/directoryd
 # Ingest fan-out under the race detector, run twice: the sharded
 # parse/embed pipeline at worker counts 1, 2, 3 and 8
 # (TestParallelIngestBitIdenticalEpochs sweeps them internally), the
@@ -71,7 +70,6 @@ trap 'stop "${fpid:-}"; stop "${dpid:-}"; rm -rf "$tmp"' EXIT
 go build -o "$tmp/webgen" ./cmd/webgen
 go build -o "$tmp/directoryd" ./cmd/directoryd
 go build -o "$tmp/benchall" ./cmd/benchall
-go build -o "$tmp/loadgen" ./cmd/loadgen
 
 # Scale-bench smoke: a 5k-page forms-only corpus through the exhaustive
 # and Hamerly k-means kernels. scaleBench itself fails the run unless
@@ -92,6 +90,19 @@ kernels=$(sed -n 's/.*"kernel": "\([a-z]*\)".*/\1/p' "$tmp/BENCH_scale_smoke.jso
 # end, not just at the unit level.
 "$tmp/benchall" -exp ingest -sizes 454 -json "$tmp/BENCH_ingest_smoke.json" >/dev/null
 [ -s "$tmp/BENCH_ingest_smoke.json" ] || { echo "check.sh: ingest smoke wrote no report"; exit 1; }
+
+# Search-bench smoke: the seeded search benchmark at the settings of
+# the committed report (benchall's defaults). A second directory must
+# answer every query with byte-identical JSON, and every field but the
+# timings (qps, *_ms) must equal the committed BENCH_search.json, so
+# the seeded corpus and query pool cannot drift unnoticed.
+"$tmp/benchall" -exp search -json "$tmp/BENCH_search_smoke.json" >/dev/null
+grep -q '"byte_identical": true' "$tmp/BENCH_search_smoke.json" || {
+    echo "check.sh: search smoke answers are not byte-identical"; exit 1; }
+grep -v 'qps\|_ms' BENCH_search.json >"$tmp/search_want.json"
+grep -v 'qps\|_ms' "$tmp/BENCH_search_smoke.json" >"$tmp/search_got.json"
+diff "$tmp/search_want.json" "$tmp/search_got.json" || {
+    echo "check.sh: search smoke differs from BENCH_search.json beyond its timings"; exit 1; }
 "$tmp/webgen" -n 60 -seed 7 -o "$tmp/corpus.json.gz" -stats=false
 "$tmp/directoryd" -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 -metrics \
     >"$tmp/directoryd.log" 2>&1 &
@@ -180,8 +191,11 @@ curl -fsS "http://$addr/select?q=hotel" | grep -q 'matching sources' || {
 stop "$dpid"
 dpid=""
 
-# Load smoke: replay a short seeded mixed workload against a live
-# directoryd with metrics on, then assert the Prometheus exposition
+# Load smoke: a fixed burst of traffic against a live directoryd with
+# metrics on. Each round posts ingests, then fires classify posts and
+# browse reads in the background and waits for every one of them, so
+# the reads overlap the epochs the ingests publish. Then assert the
+# server counted exactly the requests sent, the Prometheus exposition
 # still parses as text format 0.0.4 line by line, the SLO and quality
 # series exist, and /debug/quality serves the snapshot ring.
 "$tmp/directoryd" -live -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 \
@@ -194,11 +208,33 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [ -n "$addr" ] || { echo "check.sh: live directoryd (-metrics) did not start"; cat "$tmp/directoryd4.log"; exit 1; }
-"$tmp/loadgen" -target "http://$addr" -n 60 -seed 7 -qps 200 -ops 300 -duration 2s \
-    -json "$tmp/load_report.json" >/dev/null
-[ -s "$tmp/load_report.json" ] || { echo "check.sh: loadgen wrote no report"; exit 1; }
-for ep in classify ingest browse; do
-    grep -q "\"$ep\"" "$tmp/load_report.json" || { echo "check.sh: load report missing $ep stats"; exit 1; }
+ingested=0
+classified=0
+browsed=0
+for round in 1 2 3 4 5 6; do
+    for name in author isbn; do
+        curl -fsS -o /dev/null -X POST "http://$addr/ingest" -H 'Content-Type: application/json' \
+            -d '{"url":"http://load.example/'"$name$round"'","html":"<form action=\"/q\"><input type=\"text\" name=\"'"$name"'\"/></form>"}' \
+            || { echo "check.sh: load smoke ingest failed"; exit 1; }
+        ingested=$((ingested + 1))
+    done
+    reqs=""
+    for name in title author isbn year price city make model; do
+        curl -fsS -o /dev/null -X POST "http://$addr/classify" -H 'Content-Type: application/json' \
+            -d '{"url":"http://load.example/c/'"$name"'","html":"<form action=\"/q\"><input type=\"text\" name=\"'"$name"'\"/></form>"}' &
+        reqs="$reqs $!"
+        classified=$((classified + 1))
+    done
+    curl -fsS -o /dev/null "http://$addr/" &
+    reqs="$reqs $!"
+    curl -fsS -o /dev/null "http://$addr/cluster?id=0" &
+    reqs="$reqs $!"
+    browsed=$((browsed + 1))
+    failed=""
+    for p in $reqs; do
+        wait "$p" || failed=1
+    done
+    [ -z "$failed" ] || { echo "check.sh: load smoke read failed in round $round"; exit 1; }
 done
 # Search smoke: ranked retrieval with facet labels on the live server,
 # X-Cache MISS on first sight and HIT (byte-identical body) on repeat
@@ -228,6 +264,15 @@ awk '
     }
 }
 END { exit bad }' "$tmp/metrics4.txt" || exit 1
+# The server counted exactly the requests the load smoke sent.
+for want in "slo_requests_total{endpoint=\"classify\"} $classified" \
+            "slo_requests_total{endpoint=\"ingest\"} $ingested" \
+            "http_requests_total{code=\"200\",path=\"/\"} $browsed" \
+            "http_requests_total{code=\"200\",path=\"/cluster\"} $browsed"; do
+    grep -qxF "$want" "$tmp/metrics4.txt" || {
+        echo "check.sh: /metrics lacks '$want' after the load smoke"
+        grep '^slo_requests_total\|^http_requests_total' "$tmp/metrics4.txt"; exit 1; }
+done
 for m in slo_error_budget_burn slo_requests_total quality_silhouette stream_queue_capacity stream_queue_saturation \
          search_requests_total search_cache_hits_total search_index_docs; do
     grep -q "^$m" "$tmp/metrics4.txt" || { echo "check.sh: /metrics missing $m after load"; exit 1; }
