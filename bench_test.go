@@ -16,9 +16,13 @@ package cafc
 //	BenchmarkErrors    — §4.2     (error analysis)
 //	BenchmarkScaling   — extension (corpus-size sweep)
 //	BenchmarkPipeline  — end-to-end corpus build + CAFC-CH
+//	BenchmarkSnapshot  — snapshot save/load, v2 vs v3, with file bytes
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -369,4 +373,53 @@ func BenchmarkIngest(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.N*len(streamed))/b.Elapsed().Seconds(), "docs/sec")
+}
+
+// BenchmarkSnapshot times saving and loading a live directory's
+// snapshot, in the version 2 format (gob + gzip of map vectors, the
+// reference) and in version 3, at the paper's 454 pages, serve's 2000
+// and 5000, reporting each file's bytes. The v3 snapshot carries a
+// k = 8 partition, as a live checkpoint does.
+func BenchmarkSnapshot(b *testing.B) {
+	for _, n := range []int{454, 2000, 5000} {
+		docs, _, _, _ := testDocs(b, 4001, n)
+		c, err := NewCorpus(docs, Options{SkipNonSearchable: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := icafc.CAFCC(c.model, 8, rand.New(rand.NewSource(1)))
+		info := SnapshotInfo{Epoch: 1, WALOffset: 1}
+		formats := []struct {
+			name string
+			save func(io.Writer) error
+		}{
+			{"v2", func(w io.Writer) error { return saveV2(c, w, info) }},
+			{"v3", func(w io.Writer) error { return c.saveSnapshot(w, info, &res) }},
+		}
+		for _, f := range formats {
+			var buf bytes.Buffer
+			if err := f.save(&buf); err != nil {
+				b.Fatal(err)
+			}
+			file := buf.Bytes()
+			b.Run(fmt.Sprintf("save/%s/pages=%d", f.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := f.save(io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(file)), "bytes")
+			})
+			b.Run(fmt.Sprintf("load/%s/pages=%d", f.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := loadSnapshot(bytes.NewReader(file), Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(file)), "bytes")
+			})
+		}
+	}
 }

@@ -215,7 +215,7 @@ func (c *Corpus) Append(docs []Document) (added int, err error) {
 // document-frequency tables, erasing the stale-IDF approximation Append
 // accumulates. A corpus grown by Append and then reembedded is
 // equivalent to one built by a single NewCorpus call over the same
-// documents. Pages without retained extraction state (loaded from a
+// documents. Pages without a term record (loaded from a version 1 or 2
 // snapshot) keep their stored vectors.
 func (c *Corpus) Reembed() { c.model.ReembedAll() }
 

@@ -157,10 +157,12 @@ func runFollower(p followerParams, reg *obs.Registry, ring *obs.RingSink, tracer
 		Quality:       &cafc.QualityConfig{Seed: p.seed},
 		Search:        &cafc.SearchConfig{},
 	}
+	t0 := time.Now()
 	live, err := cafc.RecoverFollower(cfg, opts)
 	if err != nil {
 		return err
 	}
+	logRecovery(live.Status(), time.Since(t0))
 	ls.live = live
 
 	tailer := &repl.Tailer{Source: client, Target: live, Interval: p.poll, Metrics: reg}

@@ -373,10 +373,7 @@ func startLive(p liveParams, reg *obs.Registry) (*liveServer, error) {
 		if err != nil {
 			return nil, err
 		}
-		// What the restart cost, from the server alone.
-		st := live.Status()
-		log.Printf("recovered epoch %d (%d pages, %d WAL records) in %.2fs",
-			st.Epoch, st.Pages, st.WALRecords, time.Since(t0).Seconds())
+		logRecovery(live.Status(), time.Since(t0))
 		ls.live = live
 		return ls, nil
 	}
@@ -419,6 +416,25 @@ func startLive(p liveParams, reg *obs.Registry) (*liveServer, error) {
 	}
 	ls.live = live
 	return ls, nil
+}
+
+// logRecovery logs what a restart cost and what it restored, from the
+// server alone: the snapshot read, and whether its partition came back
+// as served or was re-clustered (and why). /status carries the same
+// under Recovery.
+func logRecovery(st cafc.LiveStatus, took time.Duration) {
+	from := "no snapshot"
+	if r := st.Recovery; r != nil && r.SnapshotVersion > 0 {
+		from = fmt.Sprintf("snapshot v%d (%d bytes)", r.SnapshotVersion, r.SnapshotBytes)
+		switch {
+		case r.Reason != "":
+			from += fmt.Sprintf(", partition %s: %s", r.Partition, r.Reason)
+		case r.Partition != "":
+			from += ", partition " + r.Partition
+		}
+	}
+	log.Printf("recovered epoch %d (%d pages, %d WAL records) in %.2fs from %s",
+		st.Epoch, st.Pages, st.WALRecords, took.Seconds(), from)
 }
 
 // runLive is live-mode main: start the pipeline, serve until a signal,

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
@@ -86,6 +88,16 @@ func TestRecoveredLeaderServesFollowerBytes(t *testing.T) {
 	}
 	if h := rls.live.QualityHistory(); len(h) != 1 || h[0].Epoch != crashed.Epoch {
 		t.Fatalf("recovered quality history has %d entries; want only the recovered epoch", len(h))
+	}
+	// /status says what the restart restored.
+	sr := httptest.NewRecorder()
+	rls.mux().ServeHTTP(sr, httptest.NewRequest(http.MethodGet, "/status", nil))
+	var rst cafc.LiveStatus
+	if err := json.Unmarshal(sr.Body.Bytes(), &rst); err != nil {
+		t.Fatal(err)
+	}
+	if r := rst.Recovery; r == nil || r.SnapshotVersion != 3 || r.SnapshotBytes <= 0 || r.Partition != "restored" || r.Reason != "" {
+		t.Fatalf("/status Recovery = %+v, want a restored v3 snapshot", r)
 	}
 
 	// The follower starts from the leader's genesis snapshot and the WAL
@@ -180,5 +192,30 @@ func TestRecoveredLeaderServesFollowerBytes(t *testing.T) {
 	fq, fok := follower.Quality()
 	if !rok || !fok || math.Float64bits(rq.Silhouette) != math.Float64bits(fq.Silhouette) {
 		t.Fatalf("silhouette %v (ok %v) recovered, %v (ok %v) on the follower", rq.Silhouette, rok, fq.Silhouette, fok)
+	}
+}
+
+// TestLogRecovery pins the recovery log line: what the restart read and
+// whether the partition came back as served or was re-clustered.
+func TestLogRecovery(t *testing.T) {
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	log.SetFlags(0)
+	defer func() {
+		log.SetOutput(os.Stderr)
+		log.SetFlags(log.LstdFlags)
+	}()
+	st := cafc.LiveStatus{Epoch: 7, Pages: 120, WALRecords: 7}
+	logRecovery(st, 250*time.Millisecond)
+	st.Recovery = &cafc.RecoveryInfo{SnapshotVersion: 3, SnapshotBytes: 4096, Partition: "restored"}
+	logRecovery(st, 250*time.Millisecond)
+	st.Recovery = &cafc.RecoveryInfo{SnapshotVersion: 2, SnapshotBytes: 9000, Partition: "re-clustered",
+		Reason: "snapshot v2 carries no partition"}
+	logRecovery(st, 250*time.Millisecond)
+	want := "recovered epoch 7 (120 pages, 7 WAL records) in 0.25s from no snapshot\n" +
+		"recovered epoch 7 (120 pages, 7 WAL records) in 0.25s from snapshot v3 (4096 bytes), partition restored\n" +
+		"recovered epoch 7 (120 pages, 7 WAL records) in 0.25s from snapshot v2 (9000 bytes), partition re-clustered: snapshot v2 carries no partition\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("log lines:\n%s\nwant:\n%s", got, want)
 	}
 }

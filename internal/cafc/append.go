@@ -95,28 +95,28 @@ func (m *Model) AppendPages(fps []*form.FormPage) {
 	}
 }
 
-// ReembedAll recomputes every page's TF-IDF vectors against the current
-// document-frequency tables and rebuilds the compiled representation
-// from scratch, erasing the stale-IDF drift AppendPages accumulates. A
-// model grown page by page and then reembedded is equivalent to one
-// built in a single Build call over the same documents (term weights
-// are identical; dictionary ID assignment may differ, which similarity
-// is invariant to). The re-embedding shards across m.Workers — each
-// page is a pure function of its retained extraction and the frozen DF
-// tables — and EnsureCompiled's own two-phase compile is already
-// parallel, so a full rebuild scales like the scratch build.
+// ReembedAll recomputes every page's TF-IDF vectors from its term
+// record against the current document-frequency tables and rebuilds the
+// compiled representation from scratch, erasing the stale-IDF drift
+// AppendPages accumulates. A model grown page by page and then
+// reembedded is equivalent to one built in a single Build call over the
+// same documents (term weights are identical; dictionary ID assignment
+// may differ, which similarity is invariant to). The re-embedding
+// shards across m.Workers — each page is a pure function of its record
+// and the frozen DF tables — and EnsureCompiled's own two-phase compile
+// is already parallel, so a full rebuild scales like the scratch build.
 //
-// Pages without a retained extraction result (Raw == nil, e.g. loaded
-// from a snapshot) keep their stored vectors: there is nothing to
-// re-derive them from.
+// Pages without a term record (loaded from a version 1 or 2 snapshot
+// without their documents) keep their stored vectors: there is nothing
+// to re-derive them from.
 func (m *Model) ReembedAll() {
 	pages := make([]*Page, len(m.Pages))
 	cluster.ParallelRange(len(m.Pages), m.Workers, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			if p := m.Pages[i]; p.Raw == nil {
+			if p := m.Pages[i]; p.Rec == nil {
 				pages[i] = p
 			} else {
-				pages[i] = m.Embed(p.Raw)
+				pages[i] = m.EmbedRecord(p.URL, p.Rec)
 			}
 		}
 	})

@@ -15,7 +15,9 @@ import (
 // pipeline builds the full model + hub clusters + gold labels for a
 // generated corpus.
 type pipeline struct {
-	model    *Model
+	model *Model
+	// fps are the form pages the model was built from, in model order.
+	fps      []*form.FormPage
 	clusters []hub.Cluster
 	stats    hub.Stats
 	classes  []string
@@ -43,7 +45,7 @@ func buildPipelineFromCorpus(t testing.TB, c *webgen.Corpus, g *webgraph.Graph, 
 	m := Build(fps, false)
 	svc := webgraph.NewBacklinkService(g, 100, 0, seed)
 	clusters, stats := hub.Build(c.FormPages, c.RootOf, svc.Backlinks)
-	return &pipeline{model: m, clusters: clusters, stats: stats, classes: classes, k: len(webgen.Domains)}
+	return &pipeline{model: m, fps: fps, clusters: clusters, stats: stats, classes: classes, k: len(webgen.Domains)}
 }
 
 func quality(res cluster.Result, classes []string) (entropy, f float64) {

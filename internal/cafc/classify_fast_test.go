@@ -28,7 +28,7 @@ func classifierFixture(t testing.TB) (*Classifier, []*form.FormPage) {
 	clf := NewLabelledClassifier(p.model, res, p.classes)
 	var probes []*form.FormPage
 	for _, i := range []int{0, 7, 33, 150} {
-		probes = append(probes, p.model.Pages[i].Raw)
+		probes = append(probes, p.fps[i])
 	}
 	held := webgen.Generate(webgen.Config{Seed: 200, FormPages: 24})
 	for _, u := range held.FormPages {
@@ -102,7 +102,7 @@ func TestClassifyFastMatchesReferenceFeatures(t *testing.T) {
 			t.Fatalf("%v: fast path inactive", feats)
 		}
 		for _, i := range []int{0, 11, 60} {
-			fp := p.model.Pages[i].Raw
+			fp := p.fps[i]
 			want := refRank(clf, fp)
 			if got := clf.Rank(fp); !reflect.DeepEqual(want, got) {
 				t.Errorf("%v page %d: fast Rank differs from reference", feats, i)

@@ -51,7 +51,7 @@ func TestClassifierRankOrdering(t *testing.T) {
 	res := CAFCCH(p.model, p.k, p.clusters, 8, rand.New(rand.NewSource(1)))
 	clf := NewLabelledClassifier(p.model, res, p.classes)
 
-	ranked := clf.Rank(p.model.Pages[0].Raw)
+	ranked := clf.Rank(p.fps[0])
 	if len(ranked) != p.k {
 		t.Fatalf("ranked %d clusters, want %d", len(ranked), p.k)
 	}
@@ -62,7 +62,7 @@ func TestClassifierRankOrdering(t *testing.T) {
 	}
 	// A training page must classify to the label of the cluster it was
 	// assigned to (not necessarily its gold class — clusters may err).
-	pred, ok := clf.Classify(p.model.Pages[0].Raw)
+	pred, ok := clf.Classify(p.fps[0])
 	if !ok {
 		t.Fatal("training page rejected")
 	}

@@ -41,15 +41,15 @@ func (f Features) String() string {
 	return "unknown"
 }
 
-// Page is one form page in model space: its URL plus the TF-IDF vectors of
-// both feature spaces.
+// Page is one form page in model space: its URL, the TF-IDF vectors of
+// both feature spaces, and the term record they were embedded from.
 type Page struct {
 	URL string
 	FC  vector.Vector
 	PC  vector.Vector
-	// Raw keeps the extraction result for inspection (may be nil for
-	// synthetic models).
-	Raw *form.FormPage
+	// Rec is the page's term record. It is nil only for pages loaded from
+	// a version 1 or 2 snapshot, which stored vectors alone.
+	Rec *Record
 }
 
 // Model holds a corpus of form pages embedded in the two-space vector
@@ -274,11 +274,17 @@ func internSorted(v vector.Vector, d *vector.Dict, buf []string) []string {
 // (they carry no corpus-level evidence). The page is NOT added to the
 // model.
 func (m *Model) Embed(fp *form.FormPage) *Page {
+	return m.EmbedRecord(fp.URL, NewRecord(fp))
+}
+
+// EmbedRecord is Embed from a page's term record; the weights are
+// bit-identical to embedding the form page it was built from.
+func (m *Model) EmbedRecord(url string, r *Record) *Page {
 	return &Page{
-		URL: fp.URL,
-		FC:  vector.TFIDF(fp.FCTerms, m.FCDF, m.Uniform),
-		PC:  vector.TFIDF(fp.PCTerms, m.PCDF, m.Uniform),
-		Raw: fp,
+		URL: url,
+		FC:  tfidf(r.FC, m.FCDF, m.Uniform),
+		PC:  tfidf(r.PC, m.PCDF, m.Uniform),
+		Rec: r,
 	}
 }
 

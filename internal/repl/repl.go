@@ -67,7 +67,7 @@ func (s DirSource) Snapshot(context.Context) (io.ReadCloser, error) {
 //
 //	GET /repl/wal?from=N   -> raw WAL frames from record offset N,
 //	                          X-Repl-Total: leader's total record count
-//	GET /repl/snapshot     -> current v2 snapshot (404 when none)
+//	GET /repl/snapshot     -> current snapshot, verbatim (404 when none)
 //	GET /repl/status       -> {"records": N} JSON
 //
 // It reads the directory directly (stream.TailWAL), so it works against

@@ -49,6 +49,8 @@ type Record struct {
 func (r Record) IsRebuild() bool { return len(r.Docs) == 0 }
 
 const (
+	// snapshotName keeps its first format's name; the snapshot's own
+	// leading bytes say which version it is.
 	snapshotName = "snapshot.gob.gz"
 	walName      = "wal.log"
 

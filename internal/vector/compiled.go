@@ -23,6 +23,18 @@ type Compiled struct {
 	Norm float64
 }
 
+// NewCompiled wraps already-packed parallel slices (IDs ascending) as a
+// Compiled vector, computing its norm as every compile path does: the
+// squared weights summed in ascending-ID order. A vector packed and
+// stored (its IDs and weight bits) comes back bit-identical.
+func NewCompiled(ids []uint32, weights []float64) Compiled {
+	var sum float64
+	for _, w := range weights {
+		sum += w * w
+	}
+	return Compiled{IDs: ids, Weights: weights, Norm: math.Sqrt(sum)}
+}
+
 // Len returns the number of non-zero terms.
 func (c Compiled) Len() int { return len(c.IDs) }
 

@@ -17,6 +17,21 @@ func NewDict() *Dict {
 	return &Dict{ids: make(map[string]uint32)}
 }
 
+// RestoreDict rebuilds a dictionary whose IDs are the positions of terms
+// (a persisted dictionary, read back in ID order), taking ownership of
+// terms. It reports false when a term repeats, which no dictionary
+// produces.
+func RestoreDict(terms []string) (*Dict, bool) {
+	ids := make(map[string]uint32, len(terms))
+	for i, t := range terms {
+		if _, dup := ids[t]; dup {
+			return nil, false
+		}
+		ids[t] = uint32(i)
+	}
+	return &Dict{ids: ids, terms: terms}, true
+}
+
 // Intern returns the ID of t, assigning the next free ID if t is new.
 func (d *Dict) Intern(t string) uint32 {
 	if id, ok := d.ids[t]; ok {

@@ -79,6 +79,14 @@ func (d *DocFreq) IDF(t string) float64 {
 // Vocabulary returns the number of distinct terms recorded.
 func (d *DocFreq) Vocabulary() int { return len(d.df) }
 
+// Each calls fn for every recorded term and its document frequency, in
+// map order.
+func (d *DocFreq) Each(fn func(term string, df int)) {
+	for t, c := range d.df {
+		fn(t, c)
+	}
+}
+
 // Snapshot exports the table's state for persistence. The returned map
 // is a copy.
 func (d *DocFreq) Snapshot() (n int, df map[string]int) {
@@ -108,13 +116,13 @@ func (d *DocFreq) Merge(o *DocFreq) {
 	}
 }
 
-// RestoreDocFreq rebuilds a table from a Snapshot.
+// RestoreDocFreq rebuilds a table from a Snapshot or a decoded
+// snapshot. The table takes ownership of df.
 func RestoreDocFreq(n int, df map[string]int) *DocFreq {
-	cp := make(map[string]int, len(df))
-	for t, c := range df {
-		cp[t] = c
+	if df == nil {
+		df = make(map[string]int)
 	}
-	return &DocFreq{n: n, df: cp}
+	return &DocFreq{n: n, df: df}
 }
 
 // TFIDF builds the weighted vector for one document:

@@ -185,6 +185,9 @@ type LiveStatus struct {
 	// has spent applying batches since start — ≈1.0 means ingest is
 	// saturated and the queue is the next thing to fill.
 	IngestBusyFraction float64
+	// Recovery says what the restart restored (nil when the directory
+	// was started by NewLive).
+	Recovery *RecoveryInfo `json:",omitempty"`
 }
 
 // Live is a streaming directory: Ingest feeds documents through a
@@ -206,6 +209,9 @@ type Live struct {
 	// through ApplyFrame (driven by a replication tailer).
 	follower bool
 	dir      string
+	// recovery is what RecoverLive or RecoverFollower restored (nil for
+	// NewLive).
+	recovery *RecoveryInfo
 }
 
 // NewLive starts a live directory from an already-built corpus and its
@@ -267,7 +273,11 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 // RecoverLive restarts a durable live directory from cfg.Dir: the
 // latest snapshot is loaded, the WAL tail beyond the snapshot's offset
 // is replayed through the same batch pipeline, and the result is the
-// exact pre-crash epoch. Replay builds every record's epoch (model,
+// exact pre-crash epoch. A version 3 snapshot restores the epoch it
+// checkpointed as it was served: its model, term records and partition
+// (K, assignment, centroids), so recovery runs no k-means and parses no
+// HTML, and every later epoch equals the one a directory that never
+// stopped would publish. Replay builds every record's epoch (model,
 // assignment, drift and rebuild decisions, SnapshotEvery checkpoints)
 // but publishes only the last: the search index, the quality monitor
 // and cfg.OnPublish see the recovered epoch alone, so the quality
@@ -275,24 +285,41 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 // as with LoadCorpus. An empty directory starts cold, same as NewLive
 // with no corpus.
 //
-// The genesis clustering is recomputed deterministically from the
-// loaded corpus (seeded k-means); hub-seeded genesis assignments are
-// not persisted.
+// The snapshot's partition is recomputed (seeded CAFC-C at cfg.K)
+// instead when the snapshot is version 1 or 2, which store none, or when
+// cfg.K differs from the snapshot's K. Status().Recovery says which
+// happened and why.
 func RecoverLive(cfg LiveConfig, opts ...Options) (*Live, error) {
 	return recoverLive(cfg, false, opts...)
 }
 
 // RecoverFollower opens (or resumes) a read-only follower on cfg.Dir:
-// recovery is exactly RecoverLive's — snapshot, deterministic genesis
-// re-cluster, WAL-tail replay — but the resulting pipeline has no
-// ingest worker. Records arrive only through ApplyFrame, fed by a
-// replication tailer copying the leader's WAL verbatim (see
-// internal/repl); Ingest and ForceRebuild fail with ErrReadOnly.
-// Because the local WAL is a byte-identical prefix of the leader's and
-// replay is deterministic, a follower at epoch E equals a leader
-// recovered at epoch E.
+// recovery is exactly RecoverLive's — snapshot restore, WAL-tail
+// replay — but the resulting pipeline has no ingest worker. Records
+// arrive only through ApplyFrame, fed by a replication tailer copying
+// the leader's WAL verbatim (see internal/repl); Ingest and
+// ForceRebuild fail with ErrReadOnly. A follower bootstrapped from a
+// leader's version 3 snapshot serves the leader's partition, and
+// because the local WAL is a byte-identical prefix of the leader's and
+// replay is deterministic, a follower at epoch E equals the leader at
+// epoch E.
 func RecoverFollower(cfg LiveConfig, opts ...Options) (*Live, error) {
 	return recoverLive(cfg, true, opts...)
+}
+
+// RecoveryInfo says how RecoverLive or RecoverFollower rebuilt the
+// directory's first epoch.
+type RecoveryInfo struct {
+	// SnapshotVersion and SnapshotBytes describe the snapshot read
+	// (0 and 0 when the directory held a WAL but no snapshot).
+	SnapshotVersion int
+	SnapshotBytes   int64
+	// Partition is "restored" when the snapshot's epoch was restored as
+	// it was served, "re-clustered" when its partition was recomputed,
+	// and "" when there was no snapshot corpus to restore.
+	Partition string
+	// Reason says why the partition was re-clustered.
+	Reason string `json:",omitempty"`
 }
 
 func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) {
@@ -310,32 +337,38 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 		return nil, err
 	}
 
-	var corpus *Corpus
-	var info SnapshotInfo
+	snap := &loadedSnapshot{}
+	ri := &RecoveryInfo{}
 	if rc, serr := store.OpenSnapshot(); serr == nil {
-		corpus, info, err = LoadSnapshot(rc, o)
+		cr := &countingReader{r: rc}
+		snap, err = loadSnapshot(cr, o)
+		if err == nil {
+			_, err = io.Copy(io.Discard, cr)
+		}
 		rc.Close()
 		if err != nil {
 			store.Close()
 			return nil, err
 		}
+		ri.SnapshotVersion, ri.SnapshotBytes = snap.version, cr.n
 	} else if serr != stream.ErrNoSnapshot {
 		store.Close()
 		return nil, serr
 	} else {
-		corpus, err = NewCorpus(nil, o)
+		snap.corpus, err = NewCorpus(nil, o)
 		if err != nil {
 			store.Close()
 			return nil, err
 		}
 	}
+	corpus := snap.corpus
 
-	off := int(info.WALOffset)
+	off := int(snap.info.WALOffset)
 	if off > len(recs) {
 		off = len(recs)
 	}
 
-	l := &Live{store: store, follower: follower}
+	l := &Live{store: store, follower: follower, recovery: ri}
 	scfg := l.streamConfigWithStore(corpus, cfg, store)
 
 	var genesis *stream.Epoch
@@ -343,11 +376,26 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 		// Documents covered by the snapshot contribute their HTML from
 		// the WAL prefix; the model itself comes from the snapshot.
 		docs := matchDocs(corpus.urls, recs[:off])
-		res := icafc.CAFCC(corpus.model, scfg.K, rand.New(rand.NewSource(cfg.Seed+1)))
+		res := snap.result
+		switch {
+		case res == nil:
+			ri.Reason = fmt.Sprintf("snapshot v%d carries no partition", snap.version)
+		case res.K != scfg.K:
+			ri.Reason = fmt.Sprintf("snapshot has k=%d, configured k=%d", res.K, scfg.K)
+		}
+		m := corpus.model
+		if ri.Reason == "" {
+			ri.Partition = "restored"
+		} else {
+			ri.Partition = "re-clustered"
+			withRecords(m, docs, corpus.weights)
+			r := icafc.CAFCC(m, scfg.K, rand.New(rand.NewSource(cfg.Seed+1)))
+			res = &r
+		}
 		genesis = &stream.Epoch{
-			Seq:        max64(info.Epoch, 1),
-			Model:      corpus.model.Clone(),
-			Result:     res,
+			Seq:        max64(snap.info.Epoch, 1),
+			Model:      m,
+			Result:     *res,
 			Docs:       docs,
 			WALRecords: int64(off),
 		}
@@ -358,6 +406,35 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 		l.inner = stream.New(scfg, genesis, recs[off:])
 	}
 	return l, nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// withRecords gives each page of m that lacks a term record one parsed
+// from its document's HTML (pages of a version 1 or 2 snapshot, or of a
+// corpus loaded from one); docs are the model's documents in page order.
+// It replaces those entries of m.Pages and leaves the old pages, which
+// other models may share, as they are. A page whose HTML is missing or
+// admits no form stays without a record.
+func withRecords(m *icafc.Model, docs []stream.Doc, w form.Weights) {
+	for i, p := range m.Pages {
+		if p.Rec != nil || i >= len(docs) {
+			continue
+		}
+		if fp, err := form.Parse(p.URL, docs[i].HTML, w); err == nil {
+			m.Pages[i] = &icafc.Page{URL: p.URL, PC: p.PC, FC: p.FC, Rec: icafc.NewRecord(fp)}
+		}
+	}
 }
 
 // ApplyFrame (followers only) appends one replicated WAL frame to the
@@ -447,7 +524,7 @@ func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stre
 		scfg.SaveSnapshot = func(e *stream.Epoch) error {
 			c := wrapCorpus(e, l.weights, l.retry, l.skip)
 			return store.WriteSnapshot(func(w io.Writer) error {
-				return c.SaveSnapshot(w, SnapshotInfo{Epoch: e.Seq, WALOffset: e.WALRecords})
+				return c.saveSnapshot(w, SnapshotInfo{Epoch: e.Seq, WALOffset: e.WALRecords}, &e.Result)
 			})
 		}
 	}
@@ -466,9 +543,8 @@ func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stre
 	}
 	if sc := cfg.Search; sc != nil {
 		l.search = &searcher{
-			b:       search.NewBuilder(corpus.model.Metrics),
-			opts:    search.Options{MaxK: sc.MaxK, CacheSize: sc.CacheSize, MaxFacets: sc.MaxFacets},
-			weights: corpus.weights,
+			b:    search.NewBuilder(corpus.model.Metrics),
+			opts: search.Options{MaxK: sc.MaxK, CacheSize: sc.CacheSize, MaxFacets: sc.MaxFacets},
 		}
 	}
 	scfg.OnPublish = func(e *stream.Epoch) {
@@ -587,6 +663,10 @@ func (l *Live) Status() LiveStatus {
 		WALPending:         s.WALPending,
 		IngestBusyFraction: s.IngestBusyFraction,
 	}
+	if l.recovery != nil {
+		r := *l.recovery
+		ls.Recovery = &r
+	}
 	if !ls.LastPublish.IsZero() {
 		ls.EpochAgeSeconds = time.Since(ls.LastPublish).Seconds()
 	}
@@ -654,11 +734,14 @@ func genesisEpoch(c *Corpus, docs []Document, cl *Clustering) *stream.Epoch {
 	for i := range centroids {
 		centroids[i] = c.model.Centroid(members[i])
 	}
+	sdocs := matchDocList(c.urls, docs)
+	m := c.model.Clone()
+	withRecords(m, sdocs, c.weights)
 	return &stream.Epoch{
 		Seq:    1,
-		Model:  c.model.Clone(),
+		Model:  m,
 		Result: cluster.Result{Assign: assign, K: k, Centroids: centroids},
-		Docs:   matchDocList(c.urls, docs),
+		Docs:   sdocs,
 	}
 }
 

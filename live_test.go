@@ -149,6 +149,10 @@ func TestLiveRecoverAfterCrash(t *testing.T) {
 			t.Fatalf("doc %d (%s) lost its HTML across recovery", i, d.URL)
 		}
 	}
+	// The recovered epoch serves the partition the crashed one served.
+	if !reflect.DeepEqual(got.Clustering.Assign, pre.Clustering.Assign) {
+		t.Fatal("recovery changed the partition")
+	}
 	if s := r.Status(); s.WALRecords != preStatus.WALRecords {
 		t.Errorf("WAL records %d, want %d", s.WALRecords, preStatus.WALRecords)
 	}

@@ -55,6 +55,7 @@ go test -run xxx -bench 'BenchmarkClassify|BenchmarkKMeansScale' \
 go test -run xxx -fuzz FuzzTokenize -fuzztime 3s ./internal/htmlx
 go test -run xxx -fuzz FuzzParseForms -fuzztime 3s ./internal/form
 go test -run xxx -fuzz FuzzClassifyBody -fuzztime 3s ./cmd/directoryd
+go test -run xxx -fuzz FuzzLoadSnapshot -fuzztime 3s .
 
 # Metrics smoke: serve a small corpus with -metrics on a random port and
 # assert the Prometheus exposition is populated with domain telemetry.
@@ -188,6 +189,58 @@ curl -fsS "http://$addr/cluster?id=0" | grep -q '<li><a href=' || {
     echo "check.sh: live /cluster?id=0 lists no member"; exit 1; }
 curl -fsS "http://$addr/select?q=hotel" | grep -q 'matching sources' || {
     echo "check.sh: live /select?q=hotel found no matching sources"; exit 1; }
+
+# Restart smoke: a restart must serve the directory it stopped at, byte
+# for byte. Save the front page and cluster pages 0-3, stop the server
+# (SIGTERM: drain and snapshot), restart it on the same -data and
+# compare. Then post one page, crash the server with kill -9, so the
+# restart replays that page from the WAL, and compare again.
+save_pages() {
+    mkdir -p "$1"
+    curl -fsS "http://$addr/" >"$1/front.html"
+    for id in 0 1 2 3; do
+        curl -fsS "http://$addr/cluster?id=$id" >"$1/cluster$id.html"
+    done
+}
+restart_live() {
+    "$tmp/directoryd" -live -in "$tmp/corpus.json.gz" -data "$tmp/state" \
+        -addr 127.0.0.1:0 -k 4 -flush 50ms >"$tmp/$1.log" 2>&1 &
+    dpid=$!
+    addr=""
+    for _ in $(seq 1 50); do
+        addr=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$tmp/$1.log" | head -1)
+        [ -n "$addr" ] && break
+        sleep 0.2
+    done
+    [ -n "$addr" ] || { echo "check.sh: restarted live directoryd did not start"; cat "$tmp/$1.log"; exit 1; }
+    grep -q 'recovered epoch .* partition restored' "$tmp/$1.log" || {
+        echo "check.sh: restart did not restore the snapshot's partition"; cat "$tmp/$1.log"; exit 1; }
+}
+same_pages() {
+    for f in front.html cluster0.html cluster1.html cluster2.html cluster3.html; do
+        cmp -s "$1/$f" "$2/$f" || { echo "check.sh: $f differs after $3"; diff "$1/$f" "$2/$f" | head; exit 1; }
+    done
+}
+save_pages "$tmp/before_stop"
+stop "$dpid"
+restart_live directoryd3b
+save_pages "$tmp/after_stop"
+same_pages "$tmp/before_stop" "$tmp/after_stop" "a drain and restart"
+curl -fsS -X POST "http://$addr/ingest" -H 'Content-Type: application/json' \
+    -d '{"url":"http://smoke2.example/","html":"<form action=\"/q\"><input type=\"text\" name=\"author\"/></form>"}' >/dev/null \
+    || { echo "check.sh: POST /ingest after restart failed"; exit 1; }
+for _ in $(seq 1 50); do
+    listed=$(curl -fsS "http://$addr/" | sed -n 's/.*(\([0-9]*\) databases).*/\1/p' | awk '{ n += $1 } END { print n + 0 }')
+    [ "$listed" -eq $((pages0 + 2)) ] && break
+    sleep 0.2
+done
+[ "$listed" -eq $((pages0 + 2)) ] || { echo "check.sh: page posted after restart not listed"; exit 1; }
+save_pages "$tmp/before_crash"
+kill -9 "$dpid" 2>/dev/null || true
+wait "$dpid" 2>/dev/null || true
+restart_live directoryd3c
+save_pages "$tmp/after_crash"
+same_pages "$tmp/before_crash" "$tmp/after_crash" "a kill -9 and restart"
 stop "$dpid"
 dpid=""
 

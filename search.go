@@ -4,9 +4,9 @@ import (
 	"errors"
 	"sync/atomic"
 
-	"cafc/internal/form"
 	"cafc/internal/search"
 	"cafc/internal/stream"
+	"cafc/internal/vector"
 )
 
 // SearchConfig enables the retrieval subsystem on a live directory: a
@@ -47,28 +47,31 @@ var ErrSearchCold = errors.New("cafc: search index cold: no published epoch yet"
 // followers, the constructor goroutine during genesis and replay — all
 // single-threaded), while the published snapshot is read lock-free.
 type searcher struct {
-	b       *search.Builder
-	snap    atomic.Pointer[search.Snapshot]
-	opts    search.Options
-	weights form.Weights
+	b    *search.Builder
+	snap atomic.Pointer[search.Snapshot]
+	opts search.Options
+	// terms is sync's scratch list of one page's weighted PC terms.
+	terms []vector.WeightedTerm
 }
 
 // sync brings the index up to a freshly published epoch: append exactly
-// the documents beyond the builder's cursor (never a rebuild), then
-// freeze a snapshot carrying the epoch's cluster assignment. Live-path
-// documents reuse the model's retained form.FormPage; recovered ones
-// (Raw == nil after a snapshot load) re-derive terms from their
-// WAL-backed HTML, bit-identically.
+// the pages beyond the builder's cursor (never a rebuild), then freeze a
+// snapshot carrying the epoch's cluster assignment. Each page is indexed
+// from its term record, one weighted term per distinct PC term carrying
+// its summed LOC, which the index sums to the bits the page's
+// occurrence list gives; nothing is parsed. A page without a record (a
+// version 1 or 2 snapshot page with no WAL-backed HTML) is indexed with
+// no title and no terms.
 func (s *searcher) sync(e *stream.Epoch) {
-	for i := s.b.Len(); i < len(e.Docs); i++ {
-		if i < len(e.Model.Pages) {
-			if p := e.Model.Pages[i]; p.Raw != nil {
-				s.b.Add(p.URL, p.Raw.Title, p.Raw.PCTerms)
-				continue
-			}
+	for i := s.b.Len(); i < len(e.Model.Pages); i++ {
+		p := e.Model.Pages[i]
+		title := ""
+		s.terms = s.terms[:0]
+		if p.Rec != nil {
+			title = p.Rec.Title
+			s.terms = p.Rec.AppendPC(s.terms)
 		}
-		title, terms := search.PageTerms(e.Docs[i].URL, e.Docs[i].HTML, s.weights)
-		s.b.Add(e.Docs[i].URL, title, terms)
+		s.b.Add(p.URL, title, s.terms)
 	}
 	s.snap.Store(s.b.Freeze(e.Seq, e.Result.Assign, e.Result.K, s.opts))
 }
