@@ -389,11 +389,12 @@ func BenchmarkSnapshot(b *testing.B) {
 		}
 		res := icafc.CAFCC(c.model, 8, rand.New(rand.NewSource(1)))
 		info := SnapshotInfo{Epoch: 1, WALOffset: 1}
+		pcs, fcs := tfidfMaps(b, c, docs)
 		formats := []struct {
 			name string
 			save func(io.Writer) error
 		}{
-			{"v2", func(w io.Writer) error { return saveV2(c, w, info) }},
+			{"v2", func(w io.Writer) error { return saveV2(c, pcs, fcs, w, info) }},
 			{"v3", func(w io.Writer) error { return c.saveSnapshot(w, info, &res) }},
 		}
 		for _, f := range formats {

@@ -8,6 +8,11 @@
 //	benchall -exp figure2                            # one experiment
 //	benchall -exp scaling -sizes 100,200,454,1000
 //	benchall -exp scale -sizes 5000,20000,50000      # pruned-kernel curve
+//	benchall -exp scale -cpuprofile cpu.out -memprofile mem.out
+//
+// -cpuprofile and -memprofile write pprof files of the run (the heap
+// profile at its end, after a GC), so a BENCH number ships with the
+// profile that explains it: go tool pprof -top mem.out.
 package main
 
 import (
@@ -16,6 +21,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -36,8 +42,28 @@ func main() {
 		sizes   = flag.String("sizes", "", "corpus sizes (default 100,200,454 for -exp scaling; 5000,20000,50000 for -exp scale; 454,5000,20000 for -exp ingest)")
 		jsonOut = flag.String("json", "", "output file (default BENCH_ingest.json for -exp ingest; BENCH_scale.json for -exp scale; BENCH_search.json for -exp search)")
 		metrics = flag.Bool("metrics", false, "collect run telemetry and dump the metrics snapshot to stderr on exit")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Print(err)
+			}
+		}()
+	}
+	if *memProf != "" {
+		defer writeHeapProfile(*memProf)
+	}
 
 	// Run-config banner: the effective settings a reader needs to
 	// reproduce this run.
@@ -144,6 +170,34 @@ func main() {
 	default:
 		log.Fatalf("unknown -exp %q", *exp)
 	}
+}
+
+// writeHeapProfile writes the heap profile (live and allocated bytes by
+// allocation site) to path, after a GC so the live figures are current.
+func writeHeapProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Print(err)
+		return
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		log.Print(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Print(err)
+	}
+}
+
+// hostInfo is the machine a BENCH report was measured on.
+type hostInfo struct {
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func currentHost() hostInfo {
+	return hostInfo{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 }
 
 // defaultStr returns s, or def when s is empty — per-experiment flag

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -48,12 +49,19 @@ type scaleSize struct {
 	K           int   `json:"k"`
 	ParseMillis int64 `json:"parse_millis"`
 	// BuildMillis is the BuildWith wall-clock at the default worker
-	// count; TFIDFMillis and CompileMillis split it into the
-	// term-counting/embedding phase and the packed-engine compile phase
-	// (read from the build registry's phase histograms).
+	// count; TFIDFMillis and CompileMillis split it (read from the build
+	// registry's phase histograms) into document-frequency counting plus
+	// term records (each page's TF and summed LOC per term), and the
+	// embed that weighs each record term by its IDF and packs it into
+	// the engine, dictionaries included.
 	BuildMillis   int64 `json:"model_build_millis"`
 	TFIDFMillis   int64 `json:"tfidf_millis"`
 	CompileMillis int64 `json:"compile_millis"`
+	// HeapBytesPerPage is the live heap the built model retains (after
+	// a GC, with the corpus, HTML and parsed pages dropped) over its
+	// pages: URLs, term records, packed vectors, dictionaries and DF
+	// tables.
+	HeapBytesPerPage int64 `json:"heap_bytes_per_page"`
 	// BuildSerialMillis is the Workers:1 reference build, measured while
 	// verifying the parallel build is bit-identical to it; 0 above
 	// serialCheckMax where the duplicate build is skipped.
@@ -65,7 +73,8 @@ type scaleSize struct {
 
 // scaleReport is the BENCH_scale.json schema.
 type scaleReport struct {
-	Seed int64 `json:"seed"`
+	Host hostInfo `json:"host"`
+	Seed int64    `json:"seed"`
 	// MoveFrac is the k-means convergence threshold used for every
 	// kernel run. It is set effectively to zero (stop only when no point
 	// moves) so the runs converge fully — the regime where bound pruning
@@ -82,10 +91,11 @@ type scaleReport struct {
 // strictly cheaper in distance computations; a violation is an error,
 // so CI smokes fail loudly instead of recording a regression.
 func scaleBench(sizes []int, seed int64) (scaleReport, error) {
-	rep := scaleReport{Seed: seed, MoveFrac: 1e-12}
+	rep := scaleReport{Host: currentHost(), Seed: seed, MoveFrac: 1e-12}
 	k := len(webgen.Domains)
 	printKernelHeader()
 	for _, n := range sizes {
+		base := liveHeap()
 		t0 := time.Now()
 		c := webgen.Generate(webgen.Config{Seed: seed, FormPages: n, FormsOnly: true})
 		docs := make([]stream.Doc, 0, n)
@@ -104,7 +114,7 @@ func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 			}
 			fps[i] = fp
 		}
-		docs = nil // release the raw HTML before the model build
+		c, docs, parsed = nil, nil, nil // release the corpus and raw HTML before the model build
 		row := scaleSize{FormPages: n, K: k, ParseMillis: time.Since(t0).Milliseconds()}
 
 		breg := obs.NewRegistry()
@@ -127,6 +137,9 @@ func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 				}
 			}
 		}
+		fps = nil
+		row.HeapBytesPerPage = (liveHeap() - base) / int64(n)
+		fmt.Printf("# n=%d heap=%d bytes/page\n", n, row.HeapBytesPerPage)
 
 		var ref cluster.Result
 		for _, prune := range []cluster.PruneMode{cluster.PruneOff, cluster.PruneHamerly} {
@@ -177,6 +190,16 @@ func scaleBench(sizes []int, seed int64) (scaleReport, error) {
 		rep.Sizes = append(rep.Sizes, row)
 	}
 	return rep, nil
+}
+
+// liveHeap returns the live heap after two GCs (the second empties the
+// sync.Pool victim caches, such as the parser pool's tokenizer memos).
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // perIterReduction is the exhaustive per-pass cost n*k over a kernel's

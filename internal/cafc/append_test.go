@@ -53,8 +53,8 @@ func TestAppendPagesParallelBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(got.Point(i), ref.Point(i)) {
 				t.Fatalf("workers=%d: compiled point %d differs from serial append", workers, i)
 			}
-			if !reflect.DeepEqual(got.Pages[i].PC, ref.Pages[i].PC) || !reflect.DeepEqual(got.Pages[i].FC, ref.Pages[i].FC) {
-				t.Fatalf("workers=%d: map vectors of page %d differ from serial append", workers, i)
+			if !reflect.DeepEqual(got.Pages[i], ref.Pages[i]) {
+				t.Fatalf("workers=%d: page %d or its record differs from serial append", workers, i)
 			}
 		}
 		members := make([]int, ref.Len())
@@ -89,9 +89,9 @@ func TestReembedAllParallelBitIdentical(t *testing.T) {
 
 // TestCentroidTopTermsMatchesMapPath pins the compiled cluster-labeling
 // fast path to the map reference — vector.Centroid over the members'
-// PC vectors, TopTerms with term-string tie-breaks — on real clusters,
-// and checks CentroidWith reuse leaves no state behind in the shared
-// accumulators.
+// PC vectors (vector.TFIDF of their occurrences), TopTerms with
+// term-string tie-breaks — on real clusters, and checks CentroidWith
+// reuse leaves no state behind in the shared accumulators.
 func TestCentroidTopTermsMatchesMapPath(t *testing.T) {
 	fps := genFormPages(t, 23, 100)
 	m := Build(fps, false)
@@ -106,7 +106,7 @@ func TestCentroidTopTermsMatchesMapPath(t *testing.T) {
 		}
 		pcs := make([]vector.Vector, len(mem))
 		for i, p := range mem {
-			pcs[i] = m.Pages[p].PC
+			pcs[i], _ = tfidfMaps(m, fps[p])
 		}
 		want := vector.Centroid(pcs).TopTerms(8)
 		got := m.CentroidTopTerms(mem, 8, acc)

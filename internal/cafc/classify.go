@@ -16,9 +16,9 @@ import (
 // discovered hidden-web sources — this type implements that suggestion.
 //
 // Classify and Rank serve through a pooled, allocation-free fast path
-// (see classifyEngine), pinned bit-identical to the generic Embed →
-// CompilePoint → Sim pipeline. A Classifier is safe for concurrent use
-// once built.
+// (see classifyEngine), pinned bit-identical to embedding the page with
+// vector.TFIDF, packing it with CompileVectors and scoring it with Sim.
+// A Classifier is safe for concurrent use once built.
 type Classifier struct {
 	model     *Model
 	centroids []cluster.Point

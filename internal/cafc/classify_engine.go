@@ -17,11 +17,11 @@ import (
 // dot products → Equation 3 — with zero heap allocations at steady
 // state (pinned by TestClassifyZeroAlloc).
 //
-// The fast path is bit-identical to the generic Embed → CompilePoint →
-// Sim pipeline: the scratch embedder replicates vector.TFIDF's exact
-// weight expression and vector.CompileLookup's sorted-ID norm sum, and
-// scoring reuses the same postings + CosineDot machinery the clustering
-// kernels are pinned against.
+// The fast path is bit-identical to the generic vector.TFIDF →
+// CompileVectors → Sim pipeline: the scratch embedder replicates
+// vector.TFIDF's exact weight expression and vector.CompileLookup's
+// sorted-ID norm sum, and scoring reuses the same postings + CosineDot
+// machinery the clustering kernels are pinned against.
 type classifyEngine struct {
 	k       int
 	feats   Features

@@ -47,10 +47,10 @@ func classifierFixture(t testing.TB) (*Classifier, []*form.FormPage) {
 }
 
 // refRank recomputes the ranking through the generic reference pipeline
-// the fast path must reproduce bit for bit: Embed → CompilePoint → Sim
-// per centroid, then the shared sort.
+// the fast path must reproduce bit for bit: vector.TFIDF → CompileVectors
+// → Sim per centroid, then the shared sort.
 func refRank(clf *Classifier, fp *form.FormPage) []Prediction {
-	q := clf.model.CompilePoint(clf.model.PointOf(clf.model.Embed(fp)))
+	q := clf.model.CompileVectors(tfidfMaps(clf.model, fp))
 	out := make([]Prediction, 0, len(clf.centroids))
 	for i, cent := range clf.centroids {
 		out = append(out, Prediction{Cluster: i, Label: clf.Labels[i], Similarity: clf.model.Sim(q, cent)})

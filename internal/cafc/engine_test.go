@@ -7,16 +7,28 @@ import (
 	"testing"
 
 	"cafc/internal/cluster"
+	"cafc/internal/form"
 	"cafc/internal/vector"
 )
 
 // mapSpace is the map-vector oracle for the packed engine: Equation 3
-// over vector.Cosine on each page's PC/FC maps, with centroids from
-// vector.Centroid — the similarity the reproduction started with. It
-// implements only cluster.Space, so the kernels score it through plain
-// Sim calls.
+// over vector.Cosine on each page's PC/FC TF-IDF maps (vector.TFIDF of
+// the form page's occurrences), with centroids from vector.Centroid —
+// the similarity the reproduction started with. It implements only
+// cluster.Space, so the kernels score it through plain Sim calls.
 type mapSpace struct {
-	m *Model
+	m      *Model
+	pc, fc []vector.Vector
+}
+
+// newMapSpace embeds fps, the pages m was built from, as TF-IDF maps
+// under m's DF tables.
+func newMapSpace(m *Model, fps []*form.FormPage) mapSpace {
+	s := mapSpace{m: m, pc: make([]vector.Vector, len(fps)), fc: make([]vector.Vector, len(fps))}
+	for i, fp := range fps {
+		s.pc[i], s.fc[i] = tfidfMaps(m, fp)
+	}
+	return s
 }
 
 type mapPoint struct {
@@ -26,15 +38,15 @@ type mapPoint struct {
 func (s mapSpace) Len() int { return s.m.Len() }
 
 func (s mapSpace) Point(i int) cluster.Point {
-	return mapPoint{pc: s.m.Pages[i].PC, fc: s.m.Pages[i].FC}
+	return mapPoint{pc: s.pc[i], fc: s.fc[i]}
 }
 
 func (s mapSpace) Centroid(members []int) cluster.Point {
 	pcs := make([]vector.Vector, len(members))
 	fcs := make([]vector.Vector, len(members))
 	for i, mem := range members {
-		pcs[i] = s.m.Pages[mem].PC
-		fcs[i] = s.m.Pages[mem].FC
+		pcs[i] = s.pc[mem]
+		fcs[i] = s.fc[mem]
 	}
 	return mapPoint{pc: vector.Centroid(pcs), fc: vector.Centroid(fcs)}
 }
@@ -59,9 +71,10 @@ func (s mapSpace) Sim(a, b cluster.Point) float64 {
 func TestEnginesAgree(t *testing.T) {
 	p := buildPipeline(t, 5, 120)
 	compiled := p.model
-	oracle := mapSpace{m: compiled}
+	oracle := newMapSpace(compiled, p.fps)
 	for _, f := range []Features{FCPC, FCOnly, PCOnly} {
-		mc, mo := compiled.WithFeatures(f), mapSpace{m: compiled.WithFeatures(f)}
+		mc, mo := compiled.WithFeatures(f), oracle
+		mo.m = mc
 		for i := 0; i < 40; i++ {
 			for j := i; j < 40; j++ {
 				got, want := mc.PairSim(i, j), mo.Sim(mo.Point(i), mo.Point(j))
@@ -110,25 +123,30 @@ func TestEngineParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMixedPointSim covers the packed/map mixed path: an externally
-// embedded page (map point) compared against compiled centroids.
+// TestMixedPointSim covers the packed/map mixed path: a page embedded
+// outside the model (map point) compared against compiled centroids.
 func TestMixedPointSim(t *testing.T) {
 	p := buildPipeline(t, 7, 80)
 	m := p.model
 	res := CAFCC(m, p.k, rand.New(rand.NewSource(2)))
 	members := cluster.Members(res.Assign, res.K)
 	cent := m.Centroid(members[0]) // cpoint
-	ext := m.PointOf(m.Pages[3])   // map point
+	pc, fc := tfidfMaps(m, p.fps[3])
+	ext := point{pc: pc, fc: fc} // map point
 	got := m.Sim(ext, cent)
 	// Reference: the same comparison entirely on the map oracle.
-	oracle := mapSpace{m: m}
+	oracle := newMapSpace(m, p.fps)
 	want := oracle.Sim(oracle.Point(3), oracle.Centroid(members[0]))
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("mixed Sim %g != map reference %g", got, want)
 	}
-	// And CompilePoint must be equivalent, not just compatible.
-	packed := m.CompilePoint(ext)
+	// And CompileVectors must be equivalent, not just compatible: it is
+	// the page's own packed point.
+	packed := m.CompileVectors(pc, fc)
 	if math.Abs(m.Sim(packed, cent)-got) > 1e-12 {
-		t.Error("CompilePoint changed the similarity")
+		t.Error("CompileVectors changed the similarity")
+	}
+	if !reflect.DeepEqual(packed, m.Point(3)) {
+		t.Error("CompileVectors of the page's TF-IDF maps differs from its packed point")
 	}
 }

@@ -38,6 +38,12 @@ func anchorVector(m *Model, c hub.Cluster, anchors AnchorProvider) vector.Vector
 // clusters described with the same words ("cheap flight sites") are
 // recognized as close even when their member pages differ.
 func SelectHubClustersAnchored(m *Model, clusters []hub.Cluster, k, minCard int, anchors AnchorProvider) [][]int {
+	return selectAnchored(m, clusters, k, minCard, anchors, m.centroidMap)
+}
+
+// selectAnchored is SelectHubClustersAnchored with the candidates'
+// map-form centroids taken from centroid.
+func selectAnchored(m *Model, clusters []hub.Cluster, k, minCard int, anchors AnchorProvider, centroid func([]int) point) [][]int {
 	kept := hub.Filter(clusters, minCard)
 	if len(kept) == 0 {
 		return nil
@@ -51,7 +57,7 @@ func SelectHubClustersAnchored(m *Model, clusters []hub.Cluster, k, minCard int,
 	for i, c := range kept {
 		// Map-space centroid: the anchor vector is blended term-wise,
 		// and the enriched points compare on Sim's map path.
-		cent := m.centroidMaps(c.Members)
+		cent := centroid(c.Members)
 		av := anchorVector(m, c, anchors)
 		if av.Len() > 0 {
 			pc := cent.pc.Clone()
@@ -72,6 +78,16 @@ func SelectHubClustersAnchored(m *Model, clusters []hub.Cluster, k, minCard int,
 		out = append(out, cands[i])
 	}
 	return out
+}
+
+// centroidMap is the members' centroid in map form, for enrichment to
+// post-process term-wise. It is the packed centroid decompiled, which is
+// vector.Centroid over the members' TF-IDF maps bit for bit: the dense
+// accumulator adds each term's member weights in member order and
+// applies the same final 1/n scale (see CentroidTopTerms).
+func (m *Model) centroidMap(members []int) point {
+	c := m.Centroid(members).(cpoint)
+	return point{pc: c.pc.Decompile(m.compiled.pcDict), fc: c.fc.Decompile(m.compiled.fcDict)}
 }
 
 // CAFCCHAnchored is CAFC-CH with anchor-enriched seed selection.

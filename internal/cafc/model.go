@@ -41,12 +41,11 @@ func (f Features) String() string {
 	return "unknown"
 }
 
-// Page is one form page in model space: its URL, the TF-IDF vectors of
-// both feature spaces, and the term record they were embedded from.
+// Page is one form page of the model: its URL and the term record its
+// packed TF-IDF vectors were embedded from. The vectors themselves live
+// only in the model's packed engine.
 type Page struct {
 	URL string
-	FC  vector.Vector
-	PC  vector.Vector
 	// Rec is the page's term record. It is nil only for pages loaded from
 	// a version 1 or 2 snapshot, which stored vectors alone.
 	Rec *Record
@@ -62,45 +61,50 @@ type Model struct {
 	C1, C2 float64
 	// Features selects the active feature spaces.
 	Features Features
-	// FCDF and PCDF are the corpus document-frequency tables, retained so
-	// pages outside the corpus can be embedded (Embed) and classified.
+	// FCDF and PCDF are the corpus document-frequency tables: pages
+	// embed against them, and pages outside the corpus are classified
+	// against them.
 	FCDF, PCDF *vector.DocFreq
 	// Uniform records whether LOC factors were suppressed at build time.
 	Uniform bool
-	// Metrics, when non-nil, receives model-level telemetry (TF-IDF
-	// build and engine-compile timing, vocabulary sizes) and is threaded
-	// into every clustering run over this model, so k-means/HAC
-	// convergence lands in the same registry. Nil disables all
-	// instrumentation; results are identical either way.
+	// Metrics, when non-nil, receives model-level telemetry (term-record
+	// and embed timing, vocabulary sizes) and is threaded into every
+	// clustering run over this model, so k-means/HAC convergence lands
+	// in the same registry. Nil disables all instrumentation; results
+	// are identical either way.
 	Metrics *obs.Registry
 	// Workers caps the worker pool for the build phases (document
-	// frequency counting, TF-IDF embedding, engine compile); <= 0 means
-	// one per CPU. Results are bit-identical for every worker count —
+	// frequency counting, term records, embedding); <= 0 means one per
+	// CPU. Results are bit-identical for every worker count —
 	// shards write disjoint slots and every reduction runs serially in
 	// shard order — so this is purely a wall-clock knob.
 	Workers int
 
-	// compiled is the packed engine every Space method runs on. Every
-	// constructor (BuildWith, LoadCorpus) and every mutator (AppendPages,
-	// ReembedAll) leaves it current; code that appends Pages by hand
-	// must call EnsureCompiled before using the model as a Space.
+	// compiled is the packed engine every Space method runs on: the
+	// only place a page's vectors are held. Every constructor (BuildWith,
+	// DecodeState) and every mutator (AppendPages, AppendStored,
+	// ReembedAll) leaves it current.
 	compiled *compiledPages
 }
 
-// point is the map-space representative of an external page (PointOf)
-// or an anchor-enriched centroid; Sim and CompilePoint pack it against
-// the model's dictionaries when it meets the engine.
+// point is a map-space pair of vectors: an anchor-enriched centroid, or
+// a page embedded outside the model (CompileVectors). Sim packs it
+// against the model's dictionaries when it meets the engine.
 type point struct {
 	pc, fc vector.Vector
 }
 
 // compiledPages is the packed form of the model: one term dictionary
 // and one sorted (termID, weight) vector per page, per feature space.
-// It is built once (EnsureCompiled) and read-only afterwards, so the
-// parallel clustering kernels can share it freely.
+// Pages are only ever appended to it (or it is rebuilt whole), and the
+// parallel clustering kernels share it read-only.
 type compiledPages struct {
 	pcDict, fcDict *vector.Dict
 	pc, fc         []vector.Compiled
+}
+
+func newCompiledPages() *compiledPages {
+	return &compiledPages{pcDict: vector.NewDict(), fcDict: vector.NewDict()}
 }
 
 // cpoint is the packed two-space representative.
@@ -110,16 +114,17 @@ type cpoint struct {
 
 // Build computes the form-page model for a set of extracted form pages:
 // document frequencies are accumulated per feature space over the corpus,
-// then each page gets its location-weighted TF-IDF vectors (Equation 1).
+// then each page gets its term record and, packed from it, its
+// location-weighted TF-IDF vectors (Equation 1).
 // uniform=true forces LOC_i = 1 (the Section 4.4 ablation).
 func Build(fps []*form.FormPage, uniform bool) *Model {
 	return BuildMetrics(fps, uniform, nil)
 }
 
 // BuildMetrics is Build with a metrics registry attached before the
-// model is constructed, so the document-frequency accumulation, TF-IDF
-// embedding and engine-compile phases are all timed. A nil registry is
-// exactly Build.
+// model is constructed, so the document-frequency accumulation, term
+// record and embed phases are all timed. A nil registry is exactly
+// Build.
 func BuildMetrics(fps []*form.FormPage, uniform bool, reg *obs.Registry) *Model {
 	return BuildWith(fps, BuildOpts{Uniform: uniform, Metrics: reg})
 }
@@ -136,15 +141,15 @@ type BuildOpts struct {
 }
 
 // BuildWith is the parameterized model build. The three corpus-sized
-// phases — document-frequency counting, TF-IDF embedding, engine
-// compile — shard across Workers with the cluster package's fan-out
-// contract: workers write disjoint, index-addressed slots, and the only
-// cross-shard reduction (merging per-shard DF tables) runs serially in
-// shard order over integer counts, so it is order-independent and the
-// build is bit-identical for every worker count. The model build
-// dominates end-to-end wall-clock over clustering itself (see
-// BENCH_scale.json: ~14× the assignment cost at 5k pages), which is why
-// it is the layer that shards.
+// phases — document-frequency counting, term records, embedding into the
+// packed engine — shard across Workers with the cluster package's
+// fan-out contract: workers write disjoint, index-addressed slots, and
+// the only cross-shard reduction (merging per-shard DF tables) runs
+// serially in shard order over integer counts, so it is
+// order-independent and the build is bit-identical for every worker
+// count. The model build costs more wall-clock than clustering itself
+// (BENCH_scale.json: 1.8–2.6× the exhaustive k-means run at 5k–50k
+// pages), which is why it is the layer that shards.
 func BuildWith(fps []*form.FormPage, o BuildOpts) *Model {
 	reg := o.Metrics
 	n := len(fps)
@@ -178,89 +183,120 @@ func BuildWith(fps []*form.FormPage, o BuildOpts) *Model {
 	vector.ObserveVocabulary(reg, "pc", pcDF)
 
 	m := &Model{C1: 1, C2: 1, Features: FCPC, FCDF: fcDF, PCDF: pcDF,
-		Uniform: o.Uniform, Metrics: reg, Workers: o.Workers}
+		Uniform: o.Uniform, Metrics: reg, Workers: o.Workers,
+		compiled: newCompiledPages()}
+	m.Pages = make([]*Page, n)
+	m.addRecords(fps, 0)
 	if reg != nil {
 		t0 = time.Now()
 	}
-	// The DF tables are frozen now, so every page embeds independently
-	// into its own slot.
-	m.Pages = make([]*Page, n)
-	cluster.ParallelRange(n, o.Workers, func(start, end, shard int) {
-		for i := start; i < end; i++ {
-			m.Pages[i] = m.Embed(fps[i])
-		}
-	})
+	m.embed(0, nil)
 	if reg != nil {
-		// Each page embeds into both feature spaces.
-		vector.ObserveTFIDFBuild(reg, 2*n, time.Since(t0))
+		vector.ObserveCompile(reg, m.compiled.pcDict, m.compiled.fcDict, time.Since(t0))
 	}
-	m.EnsureCompiled()
 	return m
 }
 
-// EnsureCompiled builds the packed representation of every page. Build
-// and LoadCorpus call it; call it again after appending Pages by hand.
-// It must not race with the clustering kernels — compile first, then
-// cluster. A no-op when the engine is already current.
-func (m *Model) EnsureCompiled() {
-	if m.compiled != nil && len(m.compiled.pc) == len(m.Pages) {
-		return
-	}
+// addRecords fills m.Pages[start:] with fps' pages and their term
+// records, sharded into index-addressed slots.
+func (m *Model) addRecords(fps []*form.FormPage, start int) {
 	var t0 time.Time
 	if m.Metrics != nil {
 		t0 = time.Now()
 	}
-	// Two-phase compile. Phase 1 (serial): intern every term, walking
-	// pages in order and each page's terms in sorted order — a pure
-	// string-to-ID pass with no float work, so it stays cheap, and the
-	// sort makes ID assignment deterministic across runs (a map-order
-	// walk would reshuffle IDs, and with them the norm summation order,
-	// every run). Phase 2 (sharded): pack each page against the frozen
-	// dictionaries into its own slot. The dictionaries are complete
-	// after phase 1, so CompileLookup drops nothing, and a fixed
-	// dictionary makes every page's packed form independent of every
-	// other page — bit-identical for any worker count.
-	cp := &compiledPages{pcDict: vector.NewDict(), fcDict: vector.NewDict()}
-	cp.pc = make([]vector.Compiled, len(m.Pages))
-	cp.fc = make([]vector.Compiled, len(m.Pages))
-	var terms []string
-	for _, p := range m.Pages {
-		terms = internSorted(p.PC, cp.pcDict, terms)
-		terms = internSorted(p.FC, cp.fcDict, terms)
-	}
-	cluster.ParallelRange(len(m.Pages), m.Workers, func(start, end, shard int) {
-		for i := start; i < end; i++ {
-			cp.pc[i] = vector.CompileLookup(m.Pages[i].PC, cp.pcDict)
-			cp.fc[i] = vector.CompileLookup(m.Pages[i].FC, cp.fcDict)
+	cluster.ParallelRange(len(fps), m.Workers, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			m.Pages[start+i] = &Page{URL: fps[i].URL, Rec: NewRecord(fps[i])}
 		}
 	})
-	m.compiled = cp
 	if m.Metrics != nil {
-		vector.ObserveCompile(m.Metrics, cp.pcDict, cp.fcDict, time.Since(t0))
+		// Each page gets a record in both feature spaces.
+		vector.ObserveTFIDFBuild(m.Metrics, 2*len(fps), time.Since(t0))
 	}
 }
 
-// internSorted interns v's terms into d in lexicographic order, reusing
-// buf as scratch (returned possibly grown). This is the deterministic
-// ID-assignment discipline the scratch compile (EnsureCompiled) and the
-// incremental append share: page by page in order, each page's terms
-// sorted — exactly the order vector.Compile would intern them — so
-// compiled IDs are identical no matter which path built the model.
-func internSorted(v vector.Vector, d *vector.Dict, buf []string) []string {
-	// Only terms the dictionary has never seen need the sorted-intern
-	// discipline: interning a known term is an ID no-op, and the new
-	// terms' relative lexicographic order — which is all that determines
-	// their IDs — is the same whether they are sorted alone or inside
-	// the page's full term set. In steady state (saturated vocabulary)
-	// this skips the sort almost entirely.
+// embed packs pages [start, len(m.Pages)) into the engine from their
+// term records under the model's DF tables: the one embed path of
+// BuildWith, AppendPages and ReembedAll. A page without a record (a
+// version 1 or 2 snapshot page) is carried over, weights unchanged, from
+// old, the engine its vectors were packed into; only ReembedAll, which
+// starts a fresh engine, passes one.
+//
+// Phase 1 (serial) interns, page by page in order, each term that
+// carries weight (IDF ≠ 0) and is new to the dictionary, in the
+// record's term order. That is the lexicographic order vector.Compile
+// interns a map vector's new terms in, so IDs are deterministic across
+// runs and equal to compiling each page's TF-IDF map in page order.
+// Phase 2 (sharded) packs each page against the frozen dictionaries
+// into its own slot: every weighted term's (ID, TermStat.Weight),
+// sorted by ID, with the norm summed in ID order — vector.CompileLookup
+// of the page's TF-IDF map bit for bit, for any worker count.
+func (m *Model) embed(start int, old *compiledPages) {
+	cp := m.compiled
+	n := len(m.Pages)
+	var terms []string
+	for i := start; i < n; i++ {
+		if r := m.Pages[i].Rec; r != nil {
+			internRecord(r.PC, m.PCDF, cp.pcDict)
+			internRecord(r.FC, m.FCDF, cp.fcDict)
+		} else {
+			terms = internCarried(old.pc[i], old.pcDict, cp.pcDict, terms)
+			terms = internCarried(old.fc[i], old.fcDict, cp.fcDict, terms)
+		}
+	}
+	cp.pc = append(cp.pc, make([]vector.Compiled, n-start)...)
+	cp.fc = append(cp.fc, make([]vector.Compiled, n-start)...)
+	cluster.ParallelRange(n-start, m.Workers, func(lo, hi, _ int) {
+		var pk vector.Packer
+		for i := start + lo; i < start+hi; i++ {
+			if r := m.Pages[i].Rec; r != nil {
+				cp.pc[i] = packRecord(&pk, r.PC, m.PCDF, cp.pcDict, m.Uniform)
+				cp.fc[i] = packRecord(&pk, r.FC, m.FCDF, cp.fcDict, m.Uniform)
+			} else {
+				cp.pc[i] = carry(&pk, old.pc[i], old.pcDict, cp.pcDict)
+				cp.fc[i] = carry(&pk, old.fc[i], old.fcDict, cp.fcDict)
+			}
+		}
+	})
+}
+
+// internRecord interns, in record order, each term of one record space
+// that d lacks and that carries weight under df.
+func internRecord(stats []TermStat, df *vector.DocFreq, d *vector.Dict) {
+	for _, s := range stats {
+		if _, ok := d.ID(s.Term); !ok && df.IDF(s.Term) != 0 {
+			d.Intern(s.Term)
+		}
+	}
+}
+
+// packRecord packs one record space against d: each term with IDF ≠ 0,
+// weighted as TermStat.Weight. A term d lacks is left out, as
+// CompileLookup leaves it out; for a model page phase 1 has interned
+// every weighted term.
+func packRecord(pk *vector.Packer, stats []TermStat, df *vector.DocFreq, d *vector.Dict, uniform bool) vector.Compiled {
+	for _, s := range stats {
+		idf := df.IDF(s.Term)
+		if idf == 0 {
+			continue
+		}
+		if id, ok := d.ID(s.Term); ok {
+			pk.Add(id, s.Weight(idf, uniform))
+		}
+	}
+	return pk.Pack()
+}
+
+// internCarried interns, sorted, the terms of c (packed against from)
+// that d lacks, reusing buf as scratch (returned possibly grown): what
+// compiling c's map form against d would intern.
+func internCarried(c vector.Compiled, from, d *vector.Dict, buf []string) []string {
 	buf = buf[:0]
-	for t := range v {
+	for _, id := range c.IDs {
+		t := from.Term(id)
 		if _, ok := d.ID(t); !ok {
 			buf = append(buf, t)
 		}
-	}
-	if len(buf) == 0 {
-		return buf
 	}
 	sort.Strings(buf)
 	for _, t := range buf {
@@ -269,29 +305,33 @@ func internSorted(v vector.Vector, d *vector.Dict, buf []string) []string {
 	return buf
 }
 
-// Embed projects a form page into the model's TF-IDF spaces using the
-// corpus document frequencies. Terms unseen in the corpus get zero weight
-// (they carry no corpus-level evidence). The page is NOT added to the
-// model.
-func (m *Model) Embed(fp *form.FormPage) *Page {
-	return m.EmbedRecord(fp.URL, NewRecord(fp))
-}
-
-// EmbedRecord is Embed from a page's term record; the weights are
-// bit-identical to embedding the form page it was built from.
-func (m *Model) EmbedRecord(url string, r *Record) *Page {
-	return &Page{
-		URL: url,
-		FC:  tfidf(r.FC, m.FCDF, m.Uniform),
-		PC:  tfidf(r.PC, m.PCDF, m.Uniform),
-		Rec: r,
+// carry repacks c from dictionary from against d, weights unchanged.
+func carry(pk *vector.Packer, c vector.Compiled, from, d *vector.Dict) vector.Compiled {
+	for i, id := range c.IDs {
+		if nid, ok := d.ID(from.Term(id)); ok {
+			pk.Add(nid, c.Weights[i])
+		}
 	}
+	return pk.Pack()
 }
 
-// PointOf returns the cluster.Point of an arbitrary embedded page, so
-// external pages can be compared against model centroids.
-func (m *Model) PointOf(p *Page) cluster.Point {
-	return point{pc: p.PC, fc: p.FC}
+// AppendStored appends a page known only by its stored TF-IDF vectors
+// (a version 1 or 2 snapshot page) and packs them, interning their new
+// terms in lexicographic order as vector.Compile does. The page gets no
+// record, and the maps are not kept.
+func (m *Model) AppendStored(url string, pc, fc vector.Vector) {
+	cp := m.compiled
+	m.Pages = append(m.Pages, &Page{URL: url})
+	cp.pc = append(cp.pc, vector.Compile(pc, cp.pcDict))
+	cp.fc = append(cp.fc, vector.Compile(fc, cp.fcDict))
+}
+
+// CompileVectors packs a page's TF-IDF vectors built outside the model
+// (vector.TFIDF against the model's DF tables, say) against its
+// dictionaries, dropping terms they lack, into a point that compares
+// with the model's own through Sim.
+func (m *Model) CompileVectors(pc, fc vector.Vector) cluster.Point {
+	return m.compilePoint(point{pc: pc, fc: fc})
 }
 
 // WithFeatures returns a shallow copy of the model restricted to the given
@@ -367,26 +407,6 @@ func (m *Model) CentroidTopTerms(members []int, n int, acc *vector.Accumulator) 
 		acc.Add(cp.pc[mem])
 	}
 	return acc.Compile(1/float64(len(members))).TopTerms(cp.pcDict, n)
-}
-
-// centroidMaps is the map-based centroid, kept for anchor-text
-// enrichment, which post-processes the centroid's term maps.
-func (m *Model) centroidMaps(members []int) point {
-	pcs := make([]vector.Vector, len(members))
-	fcs := make([]vector.Vector, len(members))
-	for i, mem := range members {
-		pcs[i] = m.Pages[mem].PC
-		fcs[i] = m.Pages[mem].FC
-	}
-	return point{pc: vector.Centroid(pcs), fc: vector.Centroid(fcs)}
-}
-
-// CompilePoint converts a map-space point (PointOf, or a hand-built
-// centroid) to the packed representation, so repeated Sim calls against
-// compiled points skip the per-call conversion. Packed points pass
-// through unchanged.
-func (m *Model) CompilePoint(p cluster.Point) cluster.Point {
-	return m.packed(p)
 }
 
 // packed returns p as a packed point, compiling a map-space point on

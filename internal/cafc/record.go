@@ -22,8 +22,9 @@ type TermStat struct {
 // feature space, every distinct term with its TF and summed LOC, sorted
 // by term. It is all a model needs of a page's extraction. Embedding a
 // record under any DF table reproduces vector.TFIDF of the page's
-// occurrences bit for bit, so a rebuild re-embeds from it, and the
-// search index reads its PC half. Records are immutable once built.
+// occurrences bit for bit (see Model.embed), so a rebuild re-embeds from
+// it, and the search index reads its PC half. Records are immutable
+// once built.
 type Record struct {
 	Title  string
 	PC, FC []TermStat
@@ -79,19 +80,6 @@ func termStats(terms []vector.WeightedTerm) []TermStat {
 	sc.buf = buf
 	statPool.Put(sc)
 	return out
-}
-
-// tfidf is vector.TFIDF over aggregated terms, with the same float
-// operations (see TermStat.Weight). Terms with IDF 0 are left out, as TFIDF
-// leaves them out.
-func tfidf(stats []TermStat, df *vector.DocFreq, uniform bool) vector.Vector {
-	v := make(vector.Vector, len(stats))
-	for _, s := range stats {
-		if idf := df.IDF(s.Term); idf != 0 {
-			v[s.Term] = s.Weight(idf, uniform)
-		}
-	}
-	return v
 }
 
 // Weight is the term's TF-IDF weight, with vector.TFIDF's float

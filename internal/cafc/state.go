@@ -278,7 +278,6 @@ func DecodeState(b []byte) (*Model, *cluster.Result, error) {
 			d.fail("bad record flag")
 		}
 		cp.pc[i], cp.fc[i] = d.packed(pcs.dict.Len()), d.packed(fcs.dict.Len())
-		p.PC, p.FC = cp.pc[i].Decompile(pcs.dict), cp.fc[i].Decompile(fcs.dict)
 		m.Pages[i] = p
 	}
 

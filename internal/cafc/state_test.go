@@ -28,7 +28,7 @@ func sameBits(a, b vector.Compiled) bool {
 }
 
 // assertSameModel requires two models to be equal bit for bit:
-// parameters, DF tables, dictionaries, records, map and packed vectors.
+// parameters, DF tables, dictionaries, records and packed vectors.
 func assertSameModel(t *testing.T, got, want *Model) {
 	t.Helper()
 	if got.C1 != want.C1 || got.C2 != want.C2 || got.Features != want.Features || got.Uniform != want.Uniform {
@@ -60,9 +60,6 @@ func assertSameModel(t *testing.T, got, want *Model) {
 		if p.URL != wp.URL || !reflect.DeepEqual(p.Rec, wp.Rec) {
 			t.Fatalf("page %d: URL or term record differs", i)
 		}
-		if !reflect.DeepEqual(p.PC, wp.PC) || !reflect.DeepEqual(p.FC, wp.FC) {
-			t.Fatalf("page %d: map vectors differ", i)
-		}
 		if !sameBits(g.pc[i], w.pc[i]) || !sameBits(g.fc[i], w.fc[i]) {
 			t.Fatalf("page %d: packed vector bits differ", i)
 		}
@@ -91,7 +88,7 @@ func TestStateRoundTrip(t *testing.T) {
 		m.AppendPages(fps[40:])
 		m.C1, m.C2, m.Features = 2, 0.5, PCOnly
 		p := m.Pages[7]
-		m.Pages[7] = &Page{URL: p.URL, PC: p.PC, FC: p.FC}
+		m.Pages[7] = &Page{URL: p.URL}
 		res := CAFCC(m, 4, rand.New(rand.NewSource(3)))
 		res.Assign[5] = -1
 

@@ -29,9 +29,9 @@ const (
 
 // pruneAutoMinPoints is the corpus size below which PruneAuto selects
 // the exhaustive kernel instead of Hamerly. BENCH_scale.json supports
-// only the upper side: at 20k pages Hamerly wins decisively (1169ms vs
-// 2437ms, 3.4× fewer distances). Its 5k row does not support the
-// threshold — Hamerly is faster there too (159ms vs 215ms, 1.67× fewer
+// only the upper side: at 20k pages Hamerly wins decisively (1178ms vs
+// 1813ms, 3.4× fewer distances). Its 5k row does not support the
+// threshold — Hamerly is faster there too (179ms vs 207ms, 1.67× fewer
 // distances) — so the exhaustive choice below 10000 points rests on no
 // recorded measurement. TestPruneAutoCrossover pins the selection on
 // both sides.

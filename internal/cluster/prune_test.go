@@ -175,9 +175,9 @@ func TestPruneModeString(t *testing.T) {
 
 // TestPruneAutoCrossover pins the PruneAuto size heuristic: the
 // exhaustive kernel below pruneAutoMinPoints, Hamerly at or above it.
-// BENCH_scale.json backs only the upper side (Hamerly 1169ms vs
-// exhaustive 2437ms at 20k pages); its 5k row has Hamerly faster too
-// (159ms vs 215ms), so the threshold is not supported by the recorded
+// BENCH_scale.json backs only the upper side (Hamerly 1178ms vs
+// exhaustive 1813ms at 20k pages); its 5k row has Hamerly faster too
+// (179ms vs 207ms), so the threshold is not supported by the recorded
 // 5k measurement. Explicit modes are never overridden. At the
 // threshold, the zero-value Options — the only way production reaches
 // Hamerly — must reproduce the exhaustive run bit for bit while

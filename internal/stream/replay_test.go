@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -142,5 +143,78 @@ func TestReplayPublishesOnce(t *testing.T) {
 				assertSamePipeline(t, build.name, l, follower)
 			}
 		})
+	}
+}
+
+// stateBytes is an epoch's model and partition as a snapshot stores
+// them: DF tables, dictionaries, records and every page and centroid
+// vector's bits.
+func stateBytes(t *testing.T, e *Epoch) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := e.Model.WriteState(&b, &e.Result); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestReplayInPlaceEqualsLive: construction-time replay grows one model
+// and one document list in place, and the epoch it ends on equals the
+// one a pipeline that applied the same records live publishes — model
+// state bytes, assignment and centroids — with and without drift
+// rebuilds. The genesis it starts from is the caller's: replay leaves
+// its model, state and documents as they were.
+func TestReplayInPlaceEqualsLive(t *testing.T) {
+	docs := genDocs(t, 23, 30)
+	recs := replayRecords(docs)
+	for _, drift := range []float64{2, -1} {
+		cfg := Config{K: 4, Seed: 5, DriftThreshold: drift}
+		g := syncLive(cfg)
+		g.apply(recs[0], true)
+		genesis := g.Current()
+		genesisState, genesisDocs := stateBytes(t, genesis), len(genesis.Docs)
+
+		live := NewManual(cfg, genesis, nil)
+		for _, rec := range recs[1:] {
+			if err := live.Apply(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recovered := NewManual(cfg, genesis, recs[1:])
+		got, want := recovered.Current(), live.Current()
+		if got.Seq != want.Seq || !bytes.Equal(stateBytes(t, got), stateBytes(t, want)) {
+			t.Fatalf("drift %v: replayed epoch %d's state differs from live epoch %d's", drift, got.Seq, want.Seq)
+		}
+		if !reflect.DeepEqual(got.Result.Assign, want.Result.Assign) ||
+			!reflect.DeepEqual(got.Result.Centroids, want.Result.Centroids) ||
+			!reflect.DeepEqual(got.Docs, want.Docs) {
+			t.Fatalf("drift %v: replayed assignment, centroids or documents differ from live", drift)
+		}
+		if genesis.Model.Len() != 12 || len(genesis.Docs) != genesisDocs ||
+			!bytes.Equal(stateBytes(t, genesis), genesisState) {
+			t.Fatalf("drift %v: replay changed the caller's genesis epoch", drift)
+		}
+	}
+}
+
+// TestHeldEpochSurvivesApplyReplicated: a follower's ApplyReplicated
+// passes replay=true, but into published epochs, so it grows a copy: an
+// epoch a reader holds keeps its page count, documents and state bytes.
+func TestHeldEpochSurvivesApplyReplicated(t *testing.T) {
+	docs := genDocs(t, 24, 30)
+	recs := replayRecords(docs)
+	f := NewManual(Config{K: 4, Seed: 5}, nil, recs[:3])
+	for _, rec := range recs[3:] {
+		held := f.Current()
+		pages, ndocs, state := held.Model.Len(), len(held.Docs), stateBytes(t, held)
+		if err := f.ApplyReplicated(rec); err != nil {
+			t.Fatal(err)
+		}
+		if held.Model.Len() != pages || len(held.Docs) != ndocs || !bytes.Equal(stateBytes(t, held), state) {
+			t.Fatalf("epoch %d changed under a reader across ApplyReplicated", held.Seq)
+		}
+	}
+	if f.Current().Model.Len() <= 3 {
+		t.Fatal("the records admitted no pages")
 	}
 }

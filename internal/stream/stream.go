@@ -251,8 +251,11 @@ type Live struct {
 
 	// replaying is set while the constructor stores the genesis and the
 	// replayed epochs: publish skips OnPublish, which then runs once for
-	// the last of them. Written only before the worker starts.
-	replaying bool
+	// the last of them. replayModel is the model replay built, which
+	// buildEpoch grows in place with its documents. Both are written
+	// only before the worker starts.
+	replaying   bool
+	replayModel *icafc.Model
 
 	// simsBuf/scratchBuf are miniBatch's reusable scoring buffers. Only
 	// the single worker goroutine touches them, so plain fields suffice;
@@ -338,7 +341,7 @@ func newLive(cfg Config, genesis *Epoch, pending []Record, manual bool) *Live {
 			reg.Counter("stream_replayed_records_total").Inc()
 		}
 	}
-	l.replaying = false
+	l.replaying, l.replayModel = false, nil
 	if e := l.cur.Load(); e != nil && cfg.OnPublish != nil {
 		cfg.OnPublish(e)
 	}
@@ -707,13 +710,11 @@ func (l *Live) buildEpoch(cur *Epoch, rec Record, fps []*form.FormPage, admitted
 	reg := l.cfg.Metrics
 	rebuild := rec.IsRebuild()
 	if len(fps) == 0 && !rebuild {
-		// The record still consumes an epoch slot if it was WAL-logged?
-		// No: records are only written for batches with documents or
-		// rebuild markers, and a documents-only record that admitted
-		// nothing still advances WALRecords via the epoch below when a
-		// model exists. With nothing to do and nothing published, keep
-		// the current epoch but account the record so recovery counts
-		// line up.
+		// A record whose documents were all skipped changes no model, but
+		// once a model exists it still takes an epoch: the successor is
+		// the current epoch with Seq and WALRecords advanced, so epoch
+		// and WAL counts stay in step through recovery. Before the first
+		// model it publishes nothing.
 		if cur != nil && len(rec.Docs) > 0 {
 			e := *cur
 			e.Seq++
@@ -724,21 +725,34 @@ func (l *Live) buildEpoch(cur *Epoch, rec Record, fps []*form.FormPage, admitted
 		return nil
 	}
 
+	// While the constructor replays, no reader holds an epoch and only
+	// the last replayed one is published, so the model and document list
+	// replay built (l.replayModel) grow in place from one replayed record
+	// to the next. The genesis belongs to the caller, and readers may
+	// hold any epoch outside replay: those grow a copy. A follower's
+	// ApplyReplicated replays a durable record too, but into published
+	// epochs, so this keys on l.replaying, not on apply's replay
+	// argument.
 	var m *icafc.Model
-	if cur != nil {
-		m = cur.Model.Clone()
-	} else {
+	docs := admitted
+	switch {
+	case cur == nil:
 		m = icafc.BuildMetrics(nil, l.cfg.Uniform, reg)
+	case l.replaying && cur.Model == l.replayModel:
+		m = cur.Model
+		docs = append(cur.Docs, admitted...)
+	default:
+		m = cur.Model.Clone()
+		docs = append(append([]Doc(nil), cur.Docs...), admitted...)
+	}
+	if l.replaying {
+		l.replayModel = m
 	}
 	// The incremental append (embed + compile) shards with the same
 	// worker budget as the parse stage; both are bit-identical for
 	// every worker count.
 	m.Workers = l.cfg.IngestWorkers
 	m.AppendPages(fps)
-	docs := admitted
-	if cur != nil {
-		docs = append(append([]Doc(nil), cur.Docs...), admitted...)
-	}
 
 	next := &Epoch{
 		Seq:        1,

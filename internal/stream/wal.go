@@ -79,29 +79,35 @@ type Frame struct {
 	Rec Record
 }
 
-// EncodeFrame frames one record exactly as Append writes it to disk.
+// frameHeaderMax is the longest frame header: the payload length as a
+// uvarint, then the CRC.
+const frameHeaderMax = binary.MaxVarintLen64 + 4
+
+// EncodeFrame frames one record exactly as Append writes it to disk. The
+// frame is built in one buffer: the gob payload is encoded after a
+// reserved frameHeaderMax-byte prefix, and the header, whose length is
+// known only then, is written right-aligned into the prefix's tail.
 func EncodeFrame(rec Record) (Frame, error) {
-	var payload bytes.Buffer
 	// Size the buffer up front: large-batch records carry megabytes of
 	// document bytes, and letting the buffer double its way there churns
-	// the allocator on the ingest hot path.
-	hint := 64
+	// the allocator on the ingest hot path. (gob still encodes each
+	// message into a buffer of its own before writing it here.)
+	hint := frameHeaderMax + 64
 	for _, d := range rec.Docs {
 		hint += len(d.URL) + len(d.HTML) + 16
 	}
-	payload.Grow(hint)
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+	buf := bytes.NewBuffer(make([]byte, frameHeaderMax, hint))
+	if err := gob.NewEncoder(buf).Encode(rec); err != nil {
 		return Frame{}, fmt.Errorf("stream: wal encode: %w", err)
 	}
-	var frame bytes.Buffer
-	frame.Grow(payload.Len() + binary.MaxVarintLen64 + 4)
-	var lenBuf [binary.MaxVarintLen64]byte
-	frame.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(payload.Len()))])
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(payload.Bytes(), crcTable))
-	frame.Write(crcBuf[:])
-	frame.Write(payload.Bytes())
-	return Frame{Raw: frame.Bytes(), Rec: rec}, nil
+	b := buf.Bytes()
+	payload := b[frameHeaderMax:]
+	var head [frameHeaderMax]byte
+	n := binary.PutUvarint(head[:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(head[n:], crc32.Checksum(payload, crcTable))
+	start := frameHeaderMax - (n + 4)
+	copy(b[start:], head[:n+4])
+	return Frame{Raw: b[start:], Rec: rec}, nil
 }
 
 // readFrame reads one frame off br, capturing its raw bytes. A clean end
@@ -109,18 +115,20 @@ func EncodeFrame(rec Record) (Frame, error) {
 // mismatch or undecodable payload returns errTornFrame — callers stop at
 // the last intact frame either way.
 func readFrame(br *bufio.Reader) (Frame, error) {
-	var raw []byte
+	var head [binary.MaxVarintLen64]byte
+	h := 0
 	var n uint64
 	var shift uint
 	for {
 		b, err := br.ReadByte()
 		if err != nil {
-			if len(raw) == 0 && err == io.EOF {
+			if h == 0 && err == io.EOF {
 				return Frame{}, io.EOF
 			}
 			return Frame{}, errTornFrame
 		}
-		raw = append(raw, b)
+		head[h] = b
+		h++
 		n |= uint64(b&0x7f) << shift
 		if b < 0x80 {
 			break
@@ -132,11 +140,13 @@ func readFrame(br *bufio.Reader) (Frame, error) {
 	if n > maxFramePayload {
 		return Frame{}, errTornFrame
 	}
-	body := make([]byte, 4+n)
+	// The body is read straight into the raw frame, after its length.
+	raw := make([]byte, h+4+int(n))
+	copy(raw, head[:h])
+	body := raw[h:]
 	if _, err := io.ReadFull(br, body); err != nil {
 		return Frame{}, errTornFrame
 	}
-	raw = append(raw, body...)
 	payload := body[4:]
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(body[:4]) {
 		return Frame{}, errTornFrame

@@ -79,30 +79,50 @@ func Compile(v Vector, d *Dict) Compiled {
 func CompileLookup(v Vector, d *Dict) Compiled {
 	// One pass over the map carrying weights along, instead of resolving
 	// id -> term -> weight through two more lookups per term afterwards.
-	pairs := make([]idWeight, 0, len(v))
+	p := Packer{pairs: make([]idWeight, 0, len(v))}
 	for t, w := range v {
 		if id, ok := d.ID(t); ok {
-			pairs = append(pairs, idWeight{id: id, w: w})
+			p.Add(id, w)
 		}
 	}
-	slices.SortFunc(pairs, func(a, b idWeight) int {
-		return cmp.Compare(a.id, b.id)
-	})
-	ids := make([]uint32, len(pairs))
-	weights := make([]float64, len(pairs))
-	var sum float64
-	for i, p := range pairs {
-		ids[i] = p.id
-		weights[i] = p.w
-		sum += p.w * p.w
-	}
-	return Compiled{IDs: ids, Weights: weights, Norm: math.Sqrt(sum)}
+	return p.Pack()
+}
+
+// Packer builds a Compiled vector from (ID, weight) pairs added in any
+// order: Pack sorts them by ID and sums the norm in ID order, as every
+// compile path does. A Packer's scratch is reused across Pack calls; it
+// is not safe for concurrent use.
+type Packer struct {
+	pairs []idWeight
 }
 
 // idWeight pairs a dictionary ID with its weight during compilation.
 type idWeight struct {
 	id uint32
 	w  float64
+}
+
+// Add adds term id with weight w. Each ID may be added once per Pack.
+func (p *Packer) Add(id uint32, w float64) {
+	p.pairs = append(p.pairs, idWeight{id: id, w: w})
+}
+
+// Pack returns the added pairs as a Compiled vector in exact-size
+// slices (empty, not nil, when nothing was added) and resets the Packer.
+func (p *Packer) Pack() Compiled {
+	slices.SortFunc(p.pairs, func(a, b idWeight) int {
+		return cmp.Compare(a.id, b.id)
+	})
+	ids := make([]uint32, len(p.pairs))
+	weights := make([]float64, len(p.pairs))
+	var sum float64
+	for i, pr := range p.pairs {
+		ids[i] = pr.id
+		weights[i] = pr.w
+		sum += pr.w * pr.w
+	}
+	p.pairs = p.pairs[:0]
+	return Compiled{IDs: ids, Weights: weights, Norm: math.Sqrt(sum)}
 }
 
 // CompileWeighted packs raw LOC-weighted term occurrences (the paper's

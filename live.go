@@ -423,16 +423,17 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // withRecords gives each page of m that lacks a term record one parsed
 // from its document's HTML (pages of a version 1 or 2 snapshot, or of a
 // corpus loaded from one); docs are the model's documents in page order.
-// It replaces those entries of m.Pages and leaves the old pages, which
-// other models may share, as they are. A page whose HTML is missing or
-// admits no form stays without a record.
+// It only attaches records: the page's packed vectors stay as they are
+// until a rebuild re-embeds them. It replaces those entries of m.Pages
+// and leaves the old pages, which other models may share, as they are.
+// A page whose HTML is missing or admits no form stays without a record.
 func withRecords(m *icafc.Model, docs []stream.Doc, w form.Weights) {
 	for i, p := range m.Pages {
 		if p.Rec != nil || i >= len(docs) {
 			continue
 		}
 		if fp, err := form.Parse(p.URL, docs[i].HTML, w); err == nil {
-			m.Pages[i] = &icafc.Page{URL: p.URL, PC: p.PC, FC: p.FC, Rec: icafc.NewRecord(fp)}
+			m.Pages[i] = &icafc.Page{URL: p.URL, Rec: icafc.NewRecord(fp)}
 		}
 	}
 }

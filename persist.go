@@ -213,19 +213,16 @@ func loadGobSnapshot(r io.Reader, o Options) (*loadedSnapshot, error) {
 		return nil, fmt.Errorf("cafc: snapshot corrupt: %d urls, %d/%d vectors",
 			len(snap.URLs), len(snap.FC), len(snap.PC))
 	}
-	m := &icafc.Model{
-		C1:       snap.C1,
-		C2:       snap.C2,
-		Features: Features(snap.Features),
-		Uniform:  snap.Uniform,
-		FCDF:     vector.RestoreDocFreq(snap.FCDFN, snap.FCDF),
-		PCDF:     vector.RestoreDocFreq(snap.PCDFN, snap.PCDF),
-		Metrics:  o.Metrics,
-	}
+	m := icafc.BuildWith(nil, icafc.BuildOpts{Uniform: snap.Uniform})
+	m.C1, m.C2, m.Features = snap.C1, snap.C2, Features(snap.Features)
+	m.FCDF = vector.RestoreDocFreq(snap.FCDFN, snap.FCDF)
+	m.PCDF = vector.RestoreDocFreq(snap.PCDFN, snap.PCDF)
+	m.Metrics = o.Metrics
+	// Each stored map is packed once and dropped.
 	for i, u := range snap.URLs {
-		m.Pages = append(m.Pages, &icafc.Page{URL: u, FC: snap.FC[i], PC: snap.PC[i]})
+		m.AppendStored(u, snap.PC[i], snap.FC[i])
+		snap.PC[i], snap.FC[i] = nil, nil
 	}
-	m.EnsureCompiled()
 	return &loadedSnapshot{
 		corpus:  newLoadedCorpus(m, snap.URLs, snap.Weights, o),
 		info:    SnapshotInfo{Epoch: snap.Epoch, WALOffset: snap.WALOffset},

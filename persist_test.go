@@ -14,6 +14,8 @@ import (
 
 	icafc "cafc/internal/cafc"
 	"cafc/internal/cluster"
+	"cafc/internal/form"
+	"cafc/internal/vector"
 )
 
 func newGzip(w io.Writer) *gzip.Writer { return gzip.NewWriter(w) }
@@ -256,17 +258,39 @@ func TestLoadCorpusReattachesRunOptions(t *testing.T) {
 	}
 }
 
+// tfidfMaps is the map-vector oracle of a corpus built at once from
+// docs: each page's TF-IDF maps, vector.TFIDF of its parsed occurrences
+// under the corpus DF tables, in model order.
+func tfidfMaps(t testing.TB, c *Corpus, docs []Document) (pcs, fcs []vector.Vector) {
+	t.Helper()
+	html := make(map[string]string, len(docs))
+	for _, d := range docs {
+		html[d.URL] = d.HTML
+	}
+	m := c.model
+	for _, p := range m.Pages {
+		fp, err := form.Parse(p.URL, html[p.URL], c.weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcs = append(pcs, vector.TFIDF(fp.PCTerms, m.PCDF, m.Uniform))
+		fcs = append(fcs, vector.TFIDF(fp.FCTerms, m.FCDF, m.Uniform))
+	}
+	return pcs, fcs
+}
+
 // saveV2 is the version 2 encoder as it shipped: gzip-compressed gob of
-// corpusSnapshot. It is the reference for v3's size and speed.
-func saveV2(c *Corpus, w io.Writer, info SnapshotInfo) error {
+// corpusSnapshot, with pcs and fcs (tfidfMaps) as the page vectors. It
+// is the reference for v3's size and speed.
+func saveV2(c *Corpus, pcs, fcs []vector.Vector, w io.Writer, info SnapshotInfo) error {
 	snap := corpusSnapshot{
 		Version: 2, URLs: c.urls, Weights: c.weights, Uniform: c.model.Uniform,
 		Features: int(c.model.Features), C1: c.model.C1, C2: c.model.C2,
 		Epoch: info.Epoch, WALOffset: info.WALOffset,
 	}
-	for _, p := range c.model.Pages {
-		snap.FC = append(snap.FC, p.FC)
-		snap.PC = append(snap.PC, p.PC)
+	for i := range pcs {
+		snap.PC = append(snap.PC, pcs[i])
+		snap.FC = append(snap.FC, fcs[i])
 	}
 	snap.FCDFN, snap.FCDF = c.model.FCDF.Snapshot()
 	snap.PCDFN, snap.PCDF = c.model.PCDF.Snapshot()
@@ -283,18 +307,7 @@ func saveV2(c *Corpus, w io.Writer, info SnapshotInfo) error {
 // with term records parsed from the WAL's HTML so search and rebuilds
 // work.
 func TestLoadV2Snapshot(t *testing.T) {
-	raw, err := os.ReadFile("testdata/snapshot_v2.gob.gz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap corpusSnapshot
-	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	raw, snap := readV2Fixture(t)
 	if snap.Version != 2 {
 		t.Fatalf("fixture is version %d, want 2", snap.Version)
 	}
@@ -347,12 +360,32 @@ func TestLoadV2Snapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitLive(t, "rebuild", func() bool { return r.Epoch().Rebuilt })
-	rebuilt := r.Epoch().Corpus
+	rebuilt := r.Epoch().Corpus.model
+	pcs, fcs := tfidfMaps(t, fresh, docs)
 	for i := 0; i < rebuilt.Len(); i++ {
-		if !reflect.DeepEqual(rebuilt.model.Pages[i].PC, fresh.model.Pages[i].PC) {
-			t.Fatalf("page %d: rebuilt PC vector differs from a fresh build", i)
+		if !reflect.DeepEqual(rebuilt.Point(i), rebuilt.CompileVectors(pcs[i], fcs[i])) {
+			t.Fatalf("page %d: rebuilt vectors differ from a fresh build's", i)
 		}
 	}
+}
+
+// readV2Fixture reads the version 2 fixture's bytes and decodes them as
+// the v2 encoder wrote them.
+func readV2Fixture(t *testing.T) ([]byte, corpusSnapshot) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/snapshot_v2.gob.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap corpusSnapshot
+	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return raw, snap
 }
 
 // TestRecoverV1Snapshot: a state dir holding only the version 1 fixture
@@ -379,10 +412,7 @@ func TestRecoverV1Snapshot(t *testing.T) {
 // carry term records, and keeps the stored vectors of the fixture's
 // pages, which carry none.
 func TestReembedV2CorpusAfterAppend(t *testing.T) {
-	raw, err := os.ReadFile("testdata/snapshot_v2.gob.gz")
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw, stored := readV2Fixture(t)
 	loaded, err := LoadCorpus(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -396,27 +426,31 @@ func TestReembedV2CorpusAfterAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := NewCorpus(append(append([]Document(nil), docs...), extra...))
+	all := append(append([]Document(nil), docs...), extra...)
+	fresh, err := NewCorpus(all)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Len() != fresh.Len() || loaded.Len() != len(docs)+len(extra) {
 		t.Fatalf("%d pages loaded and appended, %d built", loaded.Len(), fresh.Len())
 	}
-	before := append([]*icafc.Page(nil), loaded.model.Pages...)
-	if reflect.DeepEqual(before[len(docs)].PC, fresh.model.Pages[len(docs)].PC) {
+	m := loaded.model
+	pcs, fcs := tfidfMaps(t, fresh, all)
+	before := append([]*icafc.Page(nil), m.Pages...)
+	if reflect.DeepEqual(m.Point(len(docs)), m.CompileVectors(pcs[len(docs)], fcs[len(docs)])) {
 		t.Fatal("the first appended page is current before the re-embed; the fixture needs a stale one")
 	}
 	loaded.Reembed()
-	for i, p := range loaded.model.Pages {
+	for i, p := range m.Pages {
+		want := m.CompileVectors(pcs[i], fcs[i])
 		if i < len(docs) {
 			if p != before[i] {
 				t.Fatalf("fixture page %d, which has no record, was replaced", i)
 			}
-			continue
+			want = m.CompileVectors(stored.PC[i], stored.FC[i])
 		}
-		if !reflect.DeepEqual(p.PC, fresh.model.Pages[i].PC) || !reflect.DeepEqual(p.FC, fresh.model.Pages[i].FC) {
-			t.Fatalf("appended page %d: vectors differ from a fresh build's after Reembed", i)
+		if !reflect.DeepEqual(m.Point(i), want) {
+			t.Fatalf("page %d: vectors after Reembed differ from the fixture's or a fresh build's", i)
 		}
 	}
 }
@@ -573,7 +607,8 @@ func TestSnapshotV3NoLargerThanV2(t *testing.T) {
 			t.Fatal(err)
 		}
 		var v2, v3 bytes.Buffer
-		if err := saveV2(c, &v2, SnapshotInfo{Epoch: 1, WALOffset: 1}); err != nil {
+		pcs, fcs := tfidfMaps(t, c, docs)
+		if err := saveV2(c, pcs, fcs, &v2, SnapshotInfo{Epoch: 1, WALOffset: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.SaveSnapshot(&v3, SnapshotInfo{Epoch: 1, WALOffset: 1}); err != nil {

@@ -12,7 +12,6 @@ import (
 	"cafc/internal/repl"
 	"cafc/internal/search"
 	"cafc/internal/stream"
-	"cafc/internal/vector"
 )
 
 // The restart tests pin that a restart does not change the directory: a
@@ -29,7 +28,6 @@ type epochPrint struct {
 	// DF tables, dictionaries, term records, and every page and centroid
 	// vector's IDs and weight bits.
 	State    []byte
-	Maps     []vector.Vector
 	Members  [][]search.Meta
 	Labels   []string
 	Search   string
@@ -45,9 +43,6 @@ func printEpoch(t *testing.T, l *Live, probes []Document) epochPrint {
 	}
 	m := se.Model
 	p := epochPrint{Seq: se.Seq, K: se.Result.K, Assign: se.Result.Assign, State: stateOf(t, m, &se.Result)}
-	for _, pg := range m.Pages {
-		p.Maps = append(p.Maps, pg.PC, pg.FC)
-	}
 	if le.SearchIndex != nil {
 		p.Members = le.SearchIndex.Members()
 		p.Labels = le.SearchIndex.ClusterLabels()
@@ -79,7 +74,6 @@ func assertSameEpoch(t *testing.T, what string, got, want epochPrint) {
 		{"K", got.K, want.K},
 		{"assignment", got.Assign, want.Assign},
 		{"model state (centroid and page-vector bits, dictionaries, records)", got.State, want.State},
-		{"page map vectors", got.Maps, want.Maps},
 		{"search members", got.Members, want.Members},
 		{"search cluster labels", got.Labels, want.Labels},
 		{"search JSON", got.Search, want.Search},

@@ -83,6 +83,14 @@ go build -o "$tmp/benchall" ./cmd/benchall
 kernels=$(sed -n 's/.*"kernel": "\([a-z]*\)".*/\1/p' "$tmp/BENCH_scale_smoke.json" | tr '\n' ' ')
 [ "$kernels" = "off hamerly " ] || { echo "check.sh: scale smoke kernels '$kernels', want 'off hamerly '"; exit 1; }
 
+# Profile smoke: a 454-page scale run writes a heap profile that go tool
+# pprof reads, and reports the heap the built model retains per page.
+"$tmp/benchall" -exp scale -sizes 454 -json "$tmp/BENCH_scale_454.json" -memprofile "$tmp/scale.mem" >/dev/null
+go tool pprof -top "$tmp/benchall" "$tmp/scale.mem" >/dev/null || {
+    echo "check.sh: go tool pprof cannot read the scale smoke's heap profile"; exit 1; }
+heap=$(sed -n 's/.*"heap_bytes_per_page": \([0-9]*\).*/\1/p' "$tmp/BENCH_scale_454.json")
+[ "${heap:-0}" -gt 0 ] || { echo "check.sh: scale smoke heap_bytes_per_page '$heap', want > 0"; exit 1; }
+
 # Ingest-throughput smoke: the 454-page sweep replays the baseline
 # run's WAL through fresh pipelines at worker counts 1, 2 and 4 and
 # fails unless each replay's model, search index and WAL bytes are
