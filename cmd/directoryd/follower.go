@@ -16,10 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"log/slog"
-	"net"
 	"net/http"
-	"os"
 	"time"
 
 	"cafc"
@@ -132,11 +129,19 @@ func (fs *followerServer) mux() *http.ServeMux {
 
 // runFollower is follower-mode main: bootstrap the state dir from the
 // leader, recover a read-only pipeline from it, tail the replication
-// feed in the background, and serve until a signal.
-func runFollower(p followerParams, reg *obs.Registry, ring *obs.RingSink, tracer *obs.Tracer, sigCtx context.Context) error {
+// feed in the background, and serve until ctx ends. With a tracer in
+// ctx, "bootstrap" and "recover" spans record the startup.
+func runFollower(ctx context.Context, p followerParams, reg *obs.Registry, ring *obs.RingSink, tracer *obs.Tracer) error {
+	if err := checkK(p.k); err != nil {
+		return err
+	}
+	sctx, span := obs.Start(ctx, "startup")
 	client := &repl.Client{Base: p.leader, HTTP: &http.Client{Timeout: 30 * time.Second}}
 	log.Printf("bootstrapping follower state in %s from %s", p.data, p.leader)
-	if err := repl.Bootstrap(sigCtx, client, p.data); err != nil {
+	_, bspan := obs.Start(sctx, "bootstrap")
+	err := repl.Bootstrap(ctx, client, p.data)
+	bspan.End()
+	if err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
 
@@ -157,11 +162,14 @@ func runFollower(p followerParams, reg *obs.Registry, ring *obs.RingSink, tracer
 		Quality:       &cafc.QualityConfig{Seed: p.seed},
 		Search:        &cafc.SearchConfig{},
 	}
+	_, rspan := obs.Start(sctx, "recover")
 	t0 := time.Now()
 	live, err := cafc.RecoverFollower(cfg, opts)
+	rspan.End()
 	if err != nil {
 		return err
 	}
+	span.End()
 	logRecovery(live.Status(), time.Since(t0))
 	ls.live = live
 
@@ -176,56 +184,24 @@ func runFollower(p followerParams, reg *obs.Registry, ring *obs.RingSink, tracer
 	}
 	tailCtx, stopTail := context.WithCancel(context.Background())
 	defer stopTail()
-	go tailer.Run(tailCtx)
-
-	var handler http.Handler = fs.mux()
-	if p.metrics {
-		dm := obs.DebugMux(reg, ring, true)
-		dm.Handle("/", obs.InstrumentHandler(reg, handler))
-		handler = dm
+	tailDone := make(chan struct{})
+	go func() {
+		defer close(tailDone)
+		tailer.Run(tailCtx)
+	}()
+	// The tail appends to the state dir Drain closes, so it stops first,
+	// within the shutdown deadline: it finishes applying the frames it
+	// has fetched, and any of them can re-cluster.
+	stop := func(ctx context.Context) error {
+		log.Print("stopping replication tail")
+		stopTail()
+		select {
+		case <-tailDone:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		return live.Drain(ctx)
 	}
-	if p.reqlog {
-		logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-		handler = obs.RequestLogger(logger, tracer, handler)
-	}
-
-	ln, err := net.Listen("tcp", p.addr)
-	if err != nil {
-		return err
-	}
-	mode := "cold"
-	if e := live.Epoch(); e != nil {
-		mode = fmt.Sprintf("epoch %d, %d pages", e.Epoch, e.Corpus.Len())
-	}
-	fmt.Printf("follower directory (%s, leader %s) on http://%s/\n", mode, p.leader, ln.Addr())
-	if p.metrics {
-		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
-	}
-
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      120 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-sigCtx.Done():
-	}
-	log.Print("stopping replication tail")
-	stopTail()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := live.Drain(shutCtx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	log.Print("drained")
-	return nil
+	banner := fmt.Sprintf("follower directory (%s, leader %s)", epochMode(live), p.leader)
+	return serve(ctx, p.liveParams, reg, ring, tracer, fs.mux(), banner, stop)
 }

@@ -1,8 +1,8 @@
-// Live mode: directoryd grows its directory while serving it. Documents
-// arrive over POST /ingest into the bounded stream queue; each published
-// epoch atomically swaps in a freshly built directory UI, so browsing,
-// search and classification never block on (or observe a half-built)
-// model.
+// The live directory: directoryd grows its directory while serving it.
+// Documents arrive over POST /ingest into the bounded stream queue; each
+// published epoch atomically swaps in a freshly built directory UI, so
+// browsing, search and classification never block on (or observe a
+// half-built) model.
 package main
 
 import (
@@ -12,10 +12,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"log/slog"
-	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -31,7 +28,7 @@ import (
 	"cafc/internal/webgraph"
 )
 
-// liveParams carries the parsed flags into live mode.
+// liveParams carries the parsed flags into the directory.
 type liveParams struct {
 	in            string
 	addr          string
@@ -52,7 +49,11 @@ type liveParams struct {
 	sloClassifyMS float64
 	sloIngestMS   float64
 	reqlog        bool
-	// role is "" (standalone live) or "leader" (also serve /repl/*).
+	// outageAt, when positive, is the genesis backlink query at which the
+	// in-process backlink service dies for good: -backlink-outage-after N
+	// sets N+1, so the zero value keeps the service up.
+	outageAt int
+	// role is "" (standalone) or "leader" (also serve /repl/*).
 	role string
 }
 
@@ -323,8 +324,6 @@ func (ls *liveServer) mux() *http.ServeMux {
 	mux.HandleFunc("/status", ls.handleStatus)
 	mux.HandleFunc("/healthz", ls.handleHealthz)
 	mux.HandleFunc("/classify", withSLO(ls.sloClassify, ls.handleClassify))
-	// The JSON search API shadows the directory UI's HTML /search page in
-	// live mode; the HTML form lives on the static `serve` mode only.
 	mux.HandleFunc("/search", ls.handleSearch)
 	mux.HandleFunc("/debug/quality", ls.handleQuality)
 	mux.HandleFunc("/", ls.handleUI)
@@ -334,8 +333,15 @@ func (ls *liveServer) mux() *http.ServeMux {
 // startLive builds the cafc.Live behind the server: recovery from an
 // existing data dir wins; otherwise a dataset (when given) seeds the
 // genesis epoch; otherwise the directory starts cold and the first
-// ingested batch founds the model.
-func startLive(p liveParams, reg *obs.Registry) (*liveServer, error) {
+// ingested batch founds the model. With a tracer in ctx it records the
+// phases as spans under one "startup" root: "load", "cluster" and
+// "genesis" for a new directory, "recover" for a restart.
+func startLive(ctx context.Context, p liveParams, reg *obs.Registry) (*liveServer, error) {
+	if err := checkK(p.k); err != nil {
+		return nil, err
+	}
+	ctx, span := obs.Start(ctx, "startup")
+	defer span.End()
 	ls := &liveServer{reg: reg}
 	ls.sloClassify = obs.NewSLO(reg, "classify", p.sloClassifyMS/1000, 0)
 	ls.sloIngest = obs.NewSLO(reg, "ingest", p.sloIngestMS/1000, 0)
@@ -343,8 +349,8 @@ func startLive(p liveParams, reg *obs.Registry) (*liveServer, error) {
 	if p.retries > 0 {
 		opts.Retry = &cafc.Retry{MaxAttempts: p.retries, Budget: p.budget, Seed: p.seed}
 	}
-	// The quality monitor is always on in live mode: the reservoir bounds
-	// its per-epoch cost, and /debug/quality is the ops window into it.
+	// The quality monitor is always on: the reservoir bounds its
+	// per-epoch cost, and /debug/quality is the ops window into it.
 	// Gold labels (when the genesis dataset carries them) arrive below.
 	qcfg := &cafc.QualityConfig{Seed: p.seed}
 	cfg := cafc.LiveConfig{
@@ -361,15 +367,17 @@ func startLive(p liveParams, reg *obs.Registry) (*liveServer, error) {
 		CommitWindow:   p.commitWindow,
 		OnPublish:      ls.onPublish,
 		Quality:        qcfg,
-		// Retrieval is always on in live mode: the index grows with each
-		// batch and swaps with the classifier, so /search is never stale.
+		// Retrieval is always on: the index grows with each batch and
+		// swaps with the classifier, so /search is never stale.
 		Search: &cafc.SearchConfig{},
 	}
 
 	if p.data != "" && stream.HasState(p.data) {
 		log.Printf("recovering live directory from %s", p.data)
+		_, rspan := obs.Start(ctx, "recover")
 		t0 := time.Now()
 		live, err := cafc.RecoverLive(cfg, opts)
+		rspan.End()
 		if err != nil {
 			return nil, err
 		}
@@ -384,6 +392,7 @@ func startLive(p liveParams, reg *obs.Registry) (*liveServer, error) {
 		cl     *cafc.Clustering
 	)
 	if p.in != "" {
+		_, loadSpan := obs.Start(ctx, "load")
 		d, err := dataset.Load(p.in)
 		if err != nil {
 			return nil, err
@@ -402,15 +411,33 @@ func startLive(p liveParams, reg *obs.Registry) (*liveServer, error) {
 		if err != nil {
 			return nil, err
 		}
+		loadSpan.SetAttr(obs.Int("form_pages", corpus.Len()))
+		loadSpan.End()
+
+		_, clusterSpan := obs.Start(ctx, "cluster")
 		g := webgraph.FromCorpus(c)
 		svc := webgraph.NewBacklinkService(g, 100, 0, p.seed)
 		svc.Metrics = reg
-		cl = corpus.ClusterCH(p.k, svc.Backlinks, c.RootOf, p.seed)
+		backlinks := svc.Backlinks
+		if p.outageAt > 0 {
+			var calls int
+			backlinks = func(u string) ([]string, error) {
+				if calls++; calls >= p.outageAt {
+					svc.SetUnavailable(true)
+				}
+				return svc.Backlinks(u)
+			}
+		}
+		cl = corpus.ClusterCH(p.k, backlinks, c.RootOf, p.seed)
 		if cl.Degraded != "" {
 			log.Printf("genesis clustering degraded: %s", cl.Degraded)
 		}
+		clusterSpan.SetAttr(obs.Int("k", p.k))
+		clusterSpan.End()
 	}
+	_, genesisSpan := obs.Start(ctx, "genesis")
 	live, err := cafc.NewLive(corpus, docs, cl, cfg, opts)
+	genesisSpan.End()
 	if err != nil {
 		return nil, err
 	}
@@ -437,68 +464,27 @@ func logRecovery(st cafc.LiveStatus, took time.Duration) {
 		st.Epoch, st.Pages, st.WALRecords, took.Seconds(), from)
 }
 
-// runLive is live-mode main: start the pipeline, serve until a signal,
-// then stop HTTP intake and drain the stream (flushing the queue and
+// epochMode names the epoch a directory starts serving, for its banner.
+func epochMode(l *cafc.Live) string {
+	if e := l.Epoch(); e != nil {
+		return fmt.Sprintf("epoch %d, %d pages", e.Epoch, e.Corpus.Len())
+	}
+	return "cold"
+}
+
+// runLive runs a standalone or leader directory: start the pipeline,
+// serve until ctx ends, then drain the stream (flushing the queue and
 // writing the final snapshot).
-func runLive(p liveParams, reg *obs.Registry, ring *obs.RingSink, tracer *obs.Tracer, sigCtx context.Context) error {
-	ls, err := startLive(p, reg)
+func runLive(ctx context.Context, p liveParams, reg *obs.Registry, ring *obs.RingSink, tracer *obs.Tracer) error {
+	ls, err := startLive(ctx, p, reg)
 	if err != nil {
 		return err
 	}
-
 	m := ls.mux()
 	if p.role == "leader" {
 		// The leader's replication feed reads the state dir directly, so
 		// it serves the durable prefix even while the worker appends.
 		(&repl.Server{Dir: p.data, Metrics: reg}).Register(m)
 	}
-	var handler http.Handler = m
-	if p.metrics {
-		dm := obs.DebugMux(reg, ring, true)
-		dm.Handle("/", obs.InstrumentHandler(reg, handler))
-		handler = dm
-	}
-	if p.reqlog {
-		logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-		handler = obs.RequestLogger(logger, tracer, handler)
-	}
-
-	ln, err := net.Listen("tcp", p.addr)
-	if err != nil {
-		return err
-	}
-	mode := "cold"
-	if e := ls.live.Epoch(); e != nil {
-		mode = fmt.Sprintf("epoch %d, %d pages", e.Epoch, e.Corpus.Len())
-	}
-	fmt.Printf("live directory (%s) on http://%s/\n", mode, ln.Addr())
-	if p.metrics {
-		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
-	}
-
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      120 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-sigCtx.Done():
-	}
-	log.Print("draining")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := ls.live.Drain(shutCtx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	log.Print("drained")
-	return nil
+	return serve(ctx, p, reg, ring, tracer, m, "live directory ("+epochMode(ls.live)+")", ls.live.Drain)
 }

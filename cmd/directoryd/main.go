@@ -1,62 +1,59 @@
 // Command directoryd serves a clustered hidden-web database directory
-// over HTTP: cluster browsing, ranked page search and database selection
-// — the paper's Section 6 "query-based interface" for exploring CAFC's
-// clusters.
+// over HTTP — cluster browsing, ranked page search, database selection
+// and classification of new sources, the paper's Section 6
+// "query-based interface" for exploring CAFC's clusters — and grows it
+// while it serves: documents POSTed to /ingest join the model, and each
+// published model epoch hot-swaps the directory.
 //
 // Usage:
 //
-//	directoryd -in corpus.json.gz -addr :8080
-//	directoryd -in corpus.json.gz -metrics   # adds /metrics, /debug/*
-//	directoryd -live -in corpus.json.gz -data ./state   # streaming mode
-//	directoryd -live -in "" -data ./state               # cold start
+//	directoryd -in corpus.json.gz -addr :8080     # CAFC-CH genesis, in memory
+//	directoryd -in corpus.json.gz -data ./state   # durable: WAL + snapshots
+//	directoryd -in "" -data ./state               # cold start
+//	directoryd -in corpus.json.gz -metrics        # adds /metrics, /debug/*
+//
+// With -data, a restart recovers the directory it stopped at from the
+// state dir; recovery wins over -in.
 //
 // Replication (see DESIGN.md "Replication & topology"):
 //
-//	directoryd -role leader -in "" -data ./lead              # live + /repl/*
+//	directoryd -role leader -in "" -data ./lead              # + /repl/*
 //	directoryd -role follower -leader http://host:8080 -data ./foll
 //
-// A leader is a live directory that additionally streams its WAL at
-// /repl/wal and its snapshot at /repl/snapshot. A follower bootstraps
-// from those, tails the WAL with backoff, serves read-only /classify
-// and browse traffic, forwards POST /ingest to the leader, and degrades
-// /healthz once replication lag exceeds -max-lag, so any HTTP load
-// balancer over the leader and its followers spreads reads and drops a
-// stale replica.
+// A leader additionally streams its WAL at /repl/wal and its snapshot
+// at /repl/snapshot. A follower bootstraps from those, tails the WAL
+// with backoff, serves read-only /classify and browse traffic, forwards
+// POST /ingest to the leader, and degrades /healthz once replication
+// lag exceeds -max-lag, so any HTTP load balancer over the leader and
+// its followers spreads reads and drops a stale replica.
 //
-// Endpoints: /  /cluster?id=N  /search?q=...  /select?q=...  /healthz
-// With -live: POST /ingest, GET /status, POST /classify, GET
-// /debug/quality (online quality snapshots); the directory rebuilds and
-// hot-swaps on every published model epoch, and /healthz reports 503
-// while cold or degraded (saturated ingest queue, open circuit breaker).
+// Endpoints: /  /cluster?id=N  /select?q=...  /search?q=... (JSON)
+// POST /ingest, GET /status, POST /classify, GET /debug/quality
+// (online quality snapshots) and /healthz, which reports 503 while cold
+// or degraded (saturated ingest queue, open circuit breaker).
 // With -metrics: /metrics (Prometheus text), /debug/vars (JSON),
-// /debug/trace (recent spans: startup phases, which only static mode
-// records, and one span per request with -reqlog), /debug/pprof/*;
-// -slo-classify-ms and -slo-ingest-ms set the latency objectives behind
-// the per-endpoint error-budget burn gauges, and -reqlog adds
-// structured JSON request logs carrying trace ids.
+// /debug/trace (recent spans: the startup phases, and one span per
+// request with -reqlog), /debug/pprof/*; -slo-classify-ms and
+// -slo-ingest-ms set the latency objectives behind the per-endpoint
+// error-budget burn gauges, and -reqlog adds structured JSON request
+// logs carrying trace ids.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"cafc"
-	"cafc/internal/crawler"
-	"cafc/internal/dataset"
-	"cafc/internal/directory"
 	"cafc/internal/obs"
-	"cafc/internal/retry"
-	"cafc/internal/webgen"
-	"cafc/internal/webgraph"
 )
 
 func main() {
@@ -65,7 +62,7 @@ func main() {
 	var (
 		in      = flag.String("in", "corpus.json.gz", "input dataset")
 		addr    = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-		k       = flag.Int("k", 8, "number of clusters")
+		k       = flag.Int("k", 8, "number of clusters (at least 1; a follower must run its leader's -k, -seed and -drift)")
 		seed    = flag.Int64("seed", 1, "clustering seed")
 		metrics = flag.Bool("metrics", false, "expose /metrics, /debug/vars, /debug/trace and /debug/pprof")
 		retries = flag.Int("retries", 3, "backlink query attempts, backoff between them (0 disables the resilience wrapper)")
@@ -75,9 +72,10 @@ func main() {
 		// exercises the breaker-trip + degraded-hub path end to end.
 		outageAfter = flag.Int("backlink-outage-after", -1, "kill the backlink service after N queries (-1 = never; testing aid)")
 
-		// Live-mode flags (see runLive).
-		live = flag.Bool("live", false, "streaming mode: POST /ingest grows the directory while it serves")
-		data = flag.String("data", "", "durable state dir for -live (WAL + snapshots); recovery wins over -in")
+		// Every start is live; the flag stays so existing command lines
+		// keep parsing.
+		_    = flag.Bool("live", false, "accepted for compatibility and ignored: every directory is live")
+		data = flag.String("data", "", "durable state dir (WAL + snapshots; empty = in memory); recovery wins over -in")
 		// Replication flags (see follower.go).
 		role          = flag.String("role", "", "replication role: leader | follower (empty = standalone)")
 		leader        = flag.String("leader", "", "leader base URL (follower: replication source + write forwarding)")
@@ -93,7 +91,7 @@ func main() {
 		commitWindow  = flag.Duration("commit-window", 0, "max time a buffered WAL record waits for its group fsync (0 = flush interval)")
 		sloClassifyMS = flag.Float64("slo-classify-ms", 50, "classify latency objective in ms (burn gauges need -metrics)")
 		sloIngestMS   = flag.Float64("slo-ingest-ms", 20, "ingest latency objective in ms (burn gauges need -metrics)")
-		reqlog        = flag.Bool("reqlog", false, "structured JSON request logs on stderr (live mode)")
+		reqlog        = flag.Bool("reqlog", false, "structured JSON request logs on stderr")
 	)
 	flag.Parse()
 
@@ -115,7 +113,15 @@ func main() {
 	}
 
 	switch *role {
-	case "", "leader", "follower":
+	case "":
+	case "leader":
+		if *data == "" {
+			log.Fatal("-role leader requires -data (followers bootstrap from its WAL)")
+		}
+	case "follower":
+		if *leader == "" || *data == "" {
+			log.Fatal("-role follower requires -leader and -data")
+		}
 	default:
 		log.Fatalf("unknown -role %q (leader | follower)", *role)
 	}
@@ -140,125 +146,69 @@ func main() {
 		sloClassifyMS: *sloClassifyMS,
 		sloIngestMS:   *sloIngestMS,
 		reqlog:        *reqlog,
+		outageAt:      *outageAfter + 1,
 		role:          *role,
 	}
 
+	ctx, stop := signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	var err error
 	if *role == "follower" {
-		if *leader == "" || *data == "" {
-			log.Fatal("-role follower requires -leader and -data")
-		}
-		sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-		defer stop()
-		err := runFollower(followerParams{
+		err = runFollower(ctx, followerParams{
 			liveParams: lp,
 			leader:     strings.TrimRight(*leader, "/"),
 			maxLag:     *maxLag,
 			poll:       *replPoll,
-		}, reg, ring, tracer, sigCtx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+		}, reg, ring, tracer)
+	} else {
+		err = runLive(ctx, lp, reg, ring, tracer)
 	}
-
-	if *live || *role == "leader" {
-		if *role == "leader" && *data == "" {
-			log.Fatal("-role leader requires -data (followers bootstrap from its WAL)")
-		}
-		sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-		defer stop()
-		if err := runLive(lp, reg, ring, tracer, sigCtx); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	ctx, span := obs.Start(ctx, "startup")
-
-	_, loadSpan := obs.Start(ctx, "load")
-	d, err := dataset.Load(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := d.Corpus()
-	var docs []cafc.Document
-	html := make(map[string]string, len(c.FormPages))
-	for _, u := range c.FormPages {
-		docs = append(docs, cafc.Document{URL: u, HTML: c.ByURL[u].HTML})
-		html[u] = c.ByURL[u].HTML
+}
+
+// checkK refuses a cluster count below one before either role opens its
+// state dir or listens: CAFC-CH would found the directory on no cluster
+// at all, and the live pipeline, which reads K 0 as its default of 8,
+// would reshape it at the first ingest.
+func checkK(k int) error {
+	if k < 1 {
+		return fmt.Errorf("-k %d: the directory needs at least one cluster", k)
 	}
-	opts := cafc.Options{SkipNonSearchable: true, Metrics: reg}
-	if *retries > 0 {
-		opts.Retry = &cafc.Retry{MaxAttempts: *retries, Budget: *budget, Seed: *seed}
+	return nil
+}
+
+// serve is directoryd's one listen/serve/shutdown loop, for both roles.
+// It mounts h behind the -metrics debug routes and the -reqlog request
+// logs, listens, and prints banner with the bound address on stdout,
+// the line scripts read that address from (so -addr :0 works). It
+// serves until ctx ends, then stops HTTP intake, giving in-flight
+// requests up to 10 s, and runs the role's stop step under the same
+// deadline.
+func serve(ctx context.Context, p liveParams, reg *obs.Registry, ring *obs.RingSink, tracer *obs.Tracer,
+	h http.Handler, banner string, stop func(context.Context) error) error {
+	if p.metrics {
+		dm := obs.DebugMux(reg, ring, true)
+		dm.Handle("/", obs.InstrumentHandler(reg, h))
+		h = dm
 	}
-	corpus, err := cafc.NewCorpus(docs, opts)
+	if p.reqlog {
+		logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
+		h = obs.RequestLogger(logger, tracer, h)
+	}
+
+	ln, err := net.Listen("tcp", p.addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	loadSpan.SetAttr(obs.Int("form_pages", corpus.Len()))
-	loadSpan.End()
-
-	_, clusterSpan := obs.Start(ctx, "cluster")
-	g := webgraph.FromCorpus(c)
-	svc := webgraph.NewBacklinkService(g, 100, 0, *seed)
-	svc.Metrics = reg
-	backlinks := svc.Backlinks
-	if *outageAfter >= 0 {
-		var calls int
-		inner := backlinks
-		backlinks = func(u string) ([]string, error) {
-			if calls++; calls > *outageAfter {
-				svc.SetUnavailable(true)
-			}
-			return inner(u)
-		}
-	}
-	cl := corpus.ClusterCH(*k, backlinks, c.RootOf, *seed)
-	if cl.Degraded != "" {
-		log.Printf("clustering degraded: %s (hub evidence partial, shortfall seeded randomly)", cl.Degraded)
-	}
-	clusterSpan.SetAttr(obs.Int("k", *k))
-	clusterSpan.End()
-
-	if *metrics {
-		probeFetchHealth(ctx, c, reg)
-	}
-
-	labels := make([]string, len(cl.Clusters))
-	for i, terms := range cl.TopTerms {
-		labels[i] = strings.Join(terms, " ")
-	}
-	srv := directory.Build(cl.Clusters, labels, html)
-
-	var handler http.Handler = srv.Handler()
-	if *metrics {
-		mux := obs.DebugMux(reg, ring, true)
-		mux.Handle("/", obs.InstrumentHandler(reg, handler))
-		handler = mux
-	}
-	// Static mode is ready as soon as it serves (the model was built
-	// before the listener opened); live mode gates /healthz on epoch >= 1.
-	root := http.NewServeMux()
-	root.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok\n")
-	})
-	root.Handle("/", handler)
-	handler = root
-
-	// Listen before constructing the server so -addr :0 resolves to a
-	// real port we can print (scripts parse this line).
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	span.End()
-	fmt.Printf("serving %d databases in %d clusters on http://%s/\n", corpus.Len(), *k, ln.Addr())
-	if *metrics {
-		fmt.Printf("metrics on http://%s/metrics, profiles on http://%s/debug/pprof/\n", ln.Addr(), ln.Addr())
+	fmt.Printf("%s on http://%s/\n", banner, ln.Addr())
+	if p.metrics {
+		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
 	}
 
 	httpSrv := &http.Server{
-		Handler:           handler,
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
 		// Generous write timeout: /debug/pprof/profile streams for 30s by
@@ -266,46 +216,22 @@ func main() {
 		WriteTimeout: 120 * time.Second,
 		IdleTimeout:  60 * time.Second,
 	}
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
 	case err := <-errc:
-		log.Fatal(err)
-	case <-sigCtx.Done():
+		return err
+	case <-ctx.Done():
 	}
-	stop()
-	log.Print("shutting down")
+	log.Print("draining")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		log.Fatalf("shutdown: %v", err)
+		return fmt.Errorf("shutdown: %w", err)
 	}
-}
-
-// probeFetchHealth exercises the crawler's fetch path over real loopback
-// HTTP against the loaded corpus — one fetch per form page — so the
-// fetch-latency and status metrics are populated from first scrape, the
-// way a periodic health probe would in a long-running deployment.
-func probeFetchHealth(ctx context.Context, c *webgen.Corpus, reg *obs.Registry) {
-	if len(c.FormPages) == 0 {
-		return
+	if err := stop(shutCtx); err != nil {
+		return fmt.Errorf("drain: %w", err)
 	}
-	_, span := obs.Start(ctx, "fetch_probe")
-	defer span.End()
-	ts, client := crawler.ServeCorpus(c)
-	defer ts.Close()
-	cr := &crawler.Crawler{
-		Fetcher: &crawler.RetryFetcher{
-			Fetcher: &crawler.HTTPFetcher{Client: client},
-			Policy:  retry.Policy{Timeout: 5 * time.Second},
-			Breaker: retry.NewBreaker(5, 30*time.Second, nil, reg, "fetch"),
-			Metrics: reg,
-		},
-		Config: crawler.Config{MaxPages: len(c.FormPages), MaxDepth: 1, Metrics: reg},
-	}
-	pages := cr.Crawl(c.FormPages)
-	span.SetAttr(obs.Int("pages", len(pages)))
+	log.Print("drained")
+	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -78,7 +79,7 @@ func TestRecoveredLeaderServesFollowerBytes(t *testing.T) {
 	crashed := leader.Status()
 	leader.Close() // crash: no final snapshot, so recovery replays the tail
 
-	rls, err := startLive(liveParams{data: ldir, k: k, seed: seed, batch: 8, flush: 5 * time.Millisecond}, nil)
+	rls, err := startLive(context.Background(), liveParams{data: ldir, k: k, seed: seed, batch: 8, flush: 5 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

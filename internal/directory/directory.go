@@ -1,9 +1,11 @@
 // Package directory serves a clustered hidden-web directory over HTTP —
 // the query-based cluster-exploration interface the paper's Section 6
-// proposes. It exposes the cluster listing, per-cluster member pages, a
-// ranked page search with labeled dynamic facets and a cluster-level
-// (database-selection) search, all backed by the compiled retrieval
-// subsystem in internal/search.
+// proposes. It exposes the cluster listing, per-cluster member pages and
+// a cluster-level (database-selection) search, all backed by the
+// compiled retrieval subsystem in internal/search. Every page's header
+// also carries a page-search form that submits to /search, a route the
+// serving binary mounts beside this handler (cmd/directoryd answers it
+// with ranked JSON hits and labeled facets from the same index).
 package directory
 
 import (
@@ -65,9 +67,11 @@ func New(snap *search.Snapshot, labels []string) *Server {
 
 // Build assembles a directory from cluster member URLs, their HTML
 // bodies, and cluster labels. Pages are indexed through the same
-// Equation-1 term pipeline the model uses (search.PageTerms), so ranked
-// search here scores exactly like the live directory's; the frozen index
-// is then served through New.
+// Equation-1 term pipeline the model uses (search.PageTerms), so the
+// index ranks exactly like the live directory's; the frozen index is
+// then served through New. The live directory serves each epoch's own
+// index through New and never calls Build, which stays as the
+// re-parsing reference that tests compare that path against.
 func Build(clusters [][]string, labels []string, html map[string]string) *Server {
 	b := search.NewBuilder(nil)
 	var assign []int
@@ -85,13 +89,11 @@ func Build(clusters [][]string, labels []string, html map[string]string) *Server
 //
 //	GET /                  directory front page (clusters + sizes)
 //	GET /cluster?id=N      member listing of cluster N
-//	GET /search?q=...      ranked page results with dynamic facets
 //	GET /select?q=...      ranked clusters (database selection)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.front)
 	mux.HandleFunc("/cluster", s.cluster)
-	mux.HandleFunc("/search", s.search)
 	mux.HandleFunc("/select", s.selectDB)
 	return mux
 }
@@ -154,41 +156,6 @@ func (s *Server) renderCluster(w io.Writer, id int) {
 			htmlx.EscapeAttr(e.URL), htmlx.EscapeText(e.URL), htmlx.EscapeText(e.Title))
 	}
 	fmt.Fprint(w, "</ul></body></html>")
-}
-
-func (s *Server) search(w http.ResponseWriter, r *http.Request) {
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
-	writeHeader(w, "Search: "+q)
-	if q == "" {
-		fmt.Fprint(w, "<p>empty query</p></body></html>")
-		return
-	}
-	res, _ := s.snap.Search(q, 20)
-	if len(res.Hits) == 0 {
-		fmt.Fprint(w, "<p>no results</p></body></html>")
-		return
-	}
-	if len(res.Facets) > 0 {
-		fmt.Fprint(w, "<p>Result groups: ")
-		for i, f := range res.Facets {
-			if i > 0 {
-				fmt.Fprint(w, " · ")
-			}
-			fmt.Fprintf(w, "<b>%s</b> (%d)", htmlx.EscapeText(f.Label), f.Size)
-		}
-		fmt.Fprint(w, "</p>\n")
-	}
-	fmt.Fprint(w, "<ol>\n")
-	for _, h := range res.Hits {
-		label := h.ClusterLabel
-		if h.Cluster >= 0 && h.Cluster < len(s.Labels) {
-			label = s.Labels[h.Cluster]
-		}
-		fmt.Fprintf(w, `<li><a href="%s">%s</a> — %s (cluster <a href="/cluster?id=%d">%s</a>, score %.3f)</li>`+"\n",
-			htmlx.EscapeAttr(h.URL), htmlx.EscapeText(h.URL), htmlx.EscapeText(h.Title),
-			h.Cluster, htmlx.EscapeText(label), h.Score)
-	}
-	fmt.Fprint(w, "</ol></body></html>")
 }
 
 func (s *Server) selectDB(w http.ResponseWriter, r *http.Request) {

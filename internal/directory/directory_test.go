@@ -85,34 +85,26 @@ func TestDirectoryEndpoints(t *testing.T) {
 	}
 }
 
+// TestDirectorySearch: the index a directory serves from ranks pages
+// for a query (cmd/directoryd's JSON /search answers from it): an
+// airfare query finds an airfare page among its hits, and a query of
+// unknown terms finds none.
 func TestDirectorySearch(t *testing.T) {
 	s, c := buildServer(t)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 
-	code, body := get(t, ts, "/search?q=cheap+flights+airfare")
-	if code != 200 {
-		t.Fatalf("search: %d", code)
-	}
-	// The top results should be airfare pages.
+	res, _ := s.snap.Search("cheap flights airfare", 20)
 	airfareSeen := false
-	for _, u := range c.FormPages {
-		if c.Labels[u] == webgen.Airfare && strings.Contains(body, u) {
+	for _, h := range res.Hits {
+		if c.Labels[h.URL] == webgen.Airfare {
 			airfareSeen = true
 			break
 		}
 	}
 	if !airfareSeen {
-		t.Error("airfare query returned no airfare page")
+		t.Errorf("airfare query returned no airfare page among %d hits", len(res.Hits))
 	}
-
-	_, body = get(t, ts, "/search?q=")
-	if !strings.Contains(body, "empty query") {
-		t.Error("empty query not handled")
-	}
-	_, body = get(t, ts, "/search?q=zzzz+qqqq")
-	if !strings.Contains(body, "no results") {
-		t.Error("no-result query not handled")
+	if res, _ := s.snap.Search("zzzz qqqq", 20); len(res.Hits) != 0 {
+		t.Errorf("unknown-term query returned %d hits", len(res.Hits))
 	}
 }
 

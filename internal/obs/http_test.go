@@ -12,9 +12,9 @@ import (
 	"cafc/internal/obs"
 )
 
-// newDirectorydMux assembles the server exactly the way cmd/directoryd
-// does under -metrics: debug routes first, the instrumented directory
-// UI mounted at /.
+// newDirectorydMux mounts a directory UI the way cmd/directoryd mounts
+// its routes under -metrics: debug routes first, the instrumented
+// handler at /.
 func newDirectorydMux(reg *obs.Registry, ring *obs.RingSink) http.Handler {
 	srv := directory.Build(
 		[][]string{{"http://a.example/jobs"}, {"http://b.example/books"}},
@@ -38,7 +38,7 @@ func TestDirectorydMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(newDirectorydMux(reg, obs.NewRingSink(16)))
 	defer ts.Close()
 
-	for _, path := range []string{"/", "/cluster?id=0", "/search?q=jobs"} {
+	for _, path := range []string{"/", "/cluster?id=0", "/select?q=jobs"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -287,22 +287,27 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 //
 // The snapshot's partition is recomputed (seeded CAFC-C at cfg.K)
 // instead when the snapshot is version 1 or 2, which store none, or when
-// cfg.K differs from the snapshot's K. Status().Recovery says which
-// happened and why.
+// cfg.K differs from the snapshot's K (RecoverFollower recomputes only
+// the former). Status().Recovery says which happened and why.
 func RecoverLive(cfg LiveConfig, opts ...Options) (*Live, error) {
 	return recoverLive(cfg, false, opts...)
 }
 
 // RecoverFollower opens (or resumes) a read-only follower on cfg.Dir:
-// recovery is exactly RecoverLive's — snapshot restore, WAL-tail
-// replay — but the resulting pipeline has no ingest worker. Records
-// arrive only through ApplyFrame, fed by a replication tailer copying
-// the leader's WAL verbatim (see internal/repl); Ingest and
+// recovery is RecoverLive's — snapshot restore, WAL-tail replay — but
+// the resulting pipeline has no ingest worker. Records arrive only
+// through ApplyFrame, fed by a replication tailer copying the leader's
+// WAL verbatim (see internal/repl); Ingest and
 // ForceRebuild fail with ErrReadOnly. A follower bootstrapped from a
 // leader's version 3 snapshot serves the leader's partition, and
 // because the local WAL is a byte-identical prefix of the leader's and
 // replay is deterministic, a follower at epoch E equals the leader at
-// epoch E.
+// epoch E. A follower restores a snapshot's partition whatever cfg.K
+// is: k-means lowers K to the page count of a small first batch, so a
+// snapshot's K can be below the leader's configured K and says nothing
+// about it. Replay re-derives the leader's rebuild decisions from cfg,
+// so cfg.K, cfg.Seed and cfg.DriftThreshold must be the leader's;
+// nothing checks them.
 func RecoverFollower(cfg LiveConfig, opts ...Options) (*Live, error) {
 	return recoverLive(cfg, true, opts...)
 }
@@ -316,7 +321,8 @@ type RecoveryInfo struct {
 	SnapshotBytes   int64
 	// Partition is "restored" when the snapshot's epoch was restored as
 	// it was served, "re-clustered" when its partition was recomputed,
-	// and "" when there was no snapshot corpus to restore.
+	// and "" when there was no snapshot corpus to restore. A follower
+	// re-clusters only a version 1 or 2 snapshot, which stores none.
 	Partition string
 	// Reason says why the partition was re-clustered.
 	Reason string `json:",omitempty"`
@@ -380,7 +386,7 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 		switch {
 		case res == nil:
 			ri.Reason = fmt.Sprintf("snapshot v%d carries no partition", snap.version)
-		case res.K != scfg.K:
+		case res.K != scfg.K && !follower:
 			ri.Reason = fmt.Sprintf("snapshot has k=%d, configured k=%d", res.K, scfg.K)
 		}
 		m := corpus.model

@@ -85,7 +85,7 @@ func assertSameEpoch(t *testing.T, what string, got, want epochPrint) {
 	}
 }
 
-// twinFixture is a hub-seeded (CAFC-CH) genesis, as directoryd -live -in
+// twinFixture is a hub-seeded (CAFC-CH) genesis, as directoryd -in
 // builds it, plus the documents streamed after it and classify probes.
 type twinFixture struct {
 	corpus  *Corpus
@@ -245,6 +245,83 @@ func TestFollowerServesLeaderPartition(t *testing.T) {
 		}
 		assertSameEpoch(t, "tailed follower", printEpoch(t, f, fx.probes), printEpoch(t, l, fx.probes))
 	}
+}
+
+// TestRecoverFollowerKeepsLeaderPartition: a follower configured with
+// another K than its leader restores the leader's partition from the
+// snapshot instead of re-clustering into one the leader never served.
+func TestRecoverFollowerKeepsLeaderPartition(t *testing.T) {
+	fx := newTwinFixture(t)
+	ldir, fdir := t.TempDir(), t.TempDir()
+	l, err := NewLive(fx.corpus, fx.genesis, fx.cl, twinConfig(ldir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := repl.Bootstrap(context.Background(), repl.DirSource{Dir: ldir}, fdir); err != nil {
+		t.Fatal(err)
+	}
+	cfg := twinConfig(fdir)
+	cfg.K = 3
+	f, err := RecoverFollower(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if ri := f.Status().Recovery; ri == nil || ri.Partition != "restored" {
+		t.Errorf("Status().Recovery = %+v, want the leader's partition restored", ri)
+	}
+	assertSameEpoch(t, "k=3 follower of a k=4 leader", printEpoch(t, f, fx.probes), printEpoch(t, l, fx.probes))
+}
+
+// TestFollowerRestartAfterSmallFirstBatch: a cold leader whose first
+// batch holds fewer pages than K publishes a lower K and keeps it (one
+// cluster never drifts). A follower with the leader's K that drains and
+// restarts restores that partition and still equals the leader.
+func TestFollowerRestartAfterSmallFirstBatch(t *testing.T) {
+	fx := newTwinFixture(t)
+	ldir, fdir := t.TempDir(), t.TempDir()
+	lcfg := twinConfig(ldir)
+	lcfg.BatchSize = 1
+	l, err := NewLive(nil, nil, nil, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, d := range fx.stream[:6] {
+		if err := l.Ingest(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitLive(t, "six one-page batches applied", func() bool {
+		e := l.Epoch()
+		return e != nil && e.Corpus.Len() == 6
+	})
+	want := printEpoch(t, l, fx.probes)
+	if want.K != 1 {
+		t.Fatalf("leader's first batch of one page gave k=%d, want 1", want.K)
+	}
+
+	if err := repl.Bootstrap(context.Background(), repl.DirSource{Dir: ldir}, fdir); err != nil {
+		t.Fatal(err)
+	}
+	f, err := RecoverFollower(twinConfig(fdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameEpoch(t, "bootstrapped follower", printEpoch(t, f, fx.probes), want)
+	if err := f.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := RecoverFollower(twinConfig(fdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if ri := r.Status().Recovery; ri == nil || ri.Partition != "restored" {
+		t.Errorf("Status().Recovery = %+v, want the drained partition restored", ri)
+	}
+	assertSameEpoch(t, "restarted follower", printEpoch(t, r, fx.probes), want)
 }
 
 // TestRecoverRestoresWithoutKMeans: recovery from a version 3 snapshot

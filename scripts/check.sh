@@ -2,8 +2,10 @@
 # Full local verification: formatting, vet, build, race-enabled tests
 # (the parallel clustering kernels run under the race detector with
 # Workers > 1), a single-iteration smoke of the engine benchmarks so they
-# cannot silently rot, and end-to-end smokes of directoryd in static,
-# live and replicated mode.
+# cannot silently rot, the crawler's fetch telemetry, and end-to-end
+# smokes of directoryd: metrics, a backlink outage at startup, live
+# ingest, restart, load, and a leader with a follower that drains and
+# restarts.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -57,8 +59,6 @@ go test -run xxx -fuzz FuzzParseForms -fuzztime 3s ./internal/form
 go test -run xxx -fuzz FuzzClassifyBody -fuzztime 3s ./cmd/directoryd
 go test -run xxx -fuzz FuzzLoadSnapshot -fuzztime 3s .
 
-# Metrics smoke: serve a small corpus with -metrics on a random port and
-# assert the Prometheus exposition is populated with domain telemetry.
 tmp=$(mktemp -d)
 # stop ends a server this script started and waits for it to exit, so
 # none outlives the script or the state dir it is still writing.
@@ -68,7 +68,27 @@ stop() {
     wait "$1" 2>/dev/null || true
 }
 trap 'stop "${fpid:-}"; stop "${dpid:-}"; rm -rf "$tmp"' EXIT
+# start_server NAME PIDVAR ADDRVAR ARGS... starts directoryd with ARGS
+# in the background, logging to $tmp/NAME.log, and waits up to 10 s for
+# the banner line that carries the bound address. It sets PIDVAR (dpid
+# or fpid, so the exit trap stops the server) and ADDRVAR, and fails the
+# run, printing the log, if no address appears.
+start_server() {
+    log="$tmp/$1.log" pidvar=$2 addrvar=$3
+    shift 3
+    "$tmp/directoryd" "$@" >"$log" 2>&1 &
+    eval "$pidvar=\$!"
+    bound=""
+    for _ in $(seq 1 50); do
+        bound=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$log" | head -1)
+        [ -n "$bound" ] && break
+        sleep 0.2
+    done
+    [ -n "$bound" ] || { echo "check.sh: directoryd did not start (log $log)"; cat "$log"; exit 1; }
+    eval "$addrvar=\$bound"
+}
 go build -o "$tmp/webgen" ./cmd/webgen
+go build -o "$tmp/crawler" ./cmd/crawler
 go build -o "$tmp/directoryd" ./cmd/directoryd
 go build -o "$tmp/benchall" ./cmd/benchall
 
@@ -113,19 +133,21 @@ grep -v 'qps\|_ms' "$tmp/BENCH_search_smoke.json" >"$tmp/search_got.json"
 diff "$tmp/search_want.json" "$tmp/search_got.json" || {
     echo "check.sh: search smoke differs from BENCH_search.json beyond its timings"; exit 1; }
 "$tmp/webgen" -n 60 -seed 7 -o "$tmp/corpus.json.gz" -stats=false
-"$tmp/directoryd" -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 -metrics \
-    >"$tmp/directoryd.log" 2>&1 &
-dpid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$tmp/directoryd.log" | head -1)
-    [ -n "$addr" ] && break
-    sleep 0.2
-done
-[ -n "$addr" ] || { echo "check.sh: directoryd did not start"; cat "$tmp/directoryd.log"; exit 1; }
+
+# Crawler telemetry smoke: crawl the corpus over loopback HTTP with
+# -metrics and assert the exposition on stderr carries the fetch
+# latency histogram.
+"$tmp/crawler" -in "$tmp/corpus.json.gz" -o "$tmp/crawled.json.gz" -metrics \
+    >/dev/null 2>"$tmp/crawler_metrics.txt"
+grep -q '^crawler_fetch_seconds' "$tmp/crawler_metrics.txt" || {
+    echo "check.sh: crawler -metrics missing crawler_fetch_seconds"; cat "$tmp/crawler_metrics.txt"; exit 1; }
+
+# Metrics smoke: serve a small corpus with -metrics on a random port and
+# assert the Prometheus exposition is populated with domain telemetry.
+start_server directoryd dpid addr -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 -metrics
 curl -fsS "http://$addr/metrics" >"$tmp/metrics.txt"
 [ -s "$tmp/metrics.txt" ] || { echo "check.sh: empty /metrics exposition"; exit 1; }
-for m in kmeans_moved_fraction crawler_fetch_seconds backlink_miss_total retry_total breaker_state; do
+for m in kmeans_moved_fraction backlink_miss_total retry_total breaker_state; do
     grep -q "^$m" "$tmp/metrics.txt" || { echo "check.sh: /metrics missing $m"; exit 1; }
 done
 curl -fsS "http://$addr/debug/pprof/" >/dev/null
@@ -135,16 +157,8 @@ dpid=""
 # Degradation smoke: kill the backlink service mid-startup (after 10
 # queries) and assert directoryd still comes up serving clusters, with
 # the degradation visible in /metrics.
-"$tmp/directoryd" -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 -metrics \
-    -backlink-outage-after 10 >"$tmp/directoryd2.log" 2>&1 &
-dpid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$tmp/directoryd2.log" | head -1)
-    [ -n "$addr" ] && break
-    sleep 0.2
-done
-[ -n "$addr" ] || { echo "check.sh: directoryd did not survive backlink outage"; cat "$tmp/directoryd2.log"; exit 1; }
+start_server directoryd2 dpid addr -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 -metrics \
+    -backlink-outage-after 10
 curl -fsS "http://$addr/" >/dev/null || { echo "check.sh: directoryd root not serving after outage"; exit 1; }
 curl -fsS "http://$addr/metrics" >"$tmp/metrics2.txt"
 grep -q '^degraded_runs_total' "$tmp/metrics2.txt" || {
@@ -154,20 +168,14 @@ grep -q 'clustering degraded' "$tmp/directoryd2.log" || {
 stop "$dpid"
 dpid=""
 
-# Live-ingest smoke: start directoryd in streaming mode with a durable
-# state dir, assert readiness, POST a page through /ingest and watch the
-# model epoch advance in /status, then check that the directory UI lists
-# the new page and serves cluster pages and database selection.
-"$tmp/directoryd" -live -in "$tmp/corpus.json.gz" -data "$tmp/state" \
-    -addr 127.0.0.1:0 -k 4 -flush 50ms >"$tmp/directoryd3.log" 2>&1 &
-dpid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$tmp/directoryd3.log" | head -1)
-    [ -n "$addr" ] && break
-    sleep 0.2
-done
-[ -n "$addr" ] || { echo "check.sh: live directoryd did not start"; cat "$tmp/directoryd3.log"; exit 1; }
+# Live-ingest smoke: start directoryd with a durable state dir, assert
+# readiness, POST a page through /ingest and watch the model epoch
+# advance in /status, then check that the directory UI lists the new
+# page and serves cluster pages and database selection. This smoke and
+# the restart smoke pass -live, which selects nothing, as the repository
+# benchmark does, so a change that stops parsing the flag fails here.
+start_server directoryd3 dpid addr -live -in "$tmp/corpus.json.gz" -data "$tmp/state" \
+    -addr 127.0.0.1:0 -k 4 -flush 50ms
 curl -fsS "http://$addr/healthz" >/dev/null || { echo "check.sh: live /healthz not ready with a genesis corpus"; exit 1; }
 epoch0=$(curl -fsS "http://$addr/status" | sed -n 's/.*"Epoch":\([0-9]*\).*/\1/p')
 [ -n "$epoch0" ] || { echo "check.sh: /status returned no epoch"; exit 1; }
@@ -211,16 +219,8 @@ save_pages() {
     done
 }
 restart_live() {
-    "$tmp/directoryd" -live -in "$tmp/corpus.json.gz" -data "$tmp/state" \
-        -addr 127.0.0.1:0 -k 4 -flush 50ms >"$tmp/$1.log" 2>&1 &
-    dpid=$!
-    addr=""
-    for _ in $(seq 1 50); do
-        addr=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$tmp/$1.log" | head -1)
-        [ -n "$addr" ] && break
-        sleep 0.2
-    done
-    [ -n "$addr" ] || { echo "check.sh: restarted live directoryd did not start"; cat "$tmp/$1.log"; exit 1; }
+    start_server "$1" dpid addr -live -in "$tmp/corpus.json.gz" -data "$tmp/state" \
+        -addr 127.0.0.1:0 -k 4 -flush 50ms
     grep -q 'recovered epoch .* partition restored' "$tmp/$1.log" || {
         echo "check.sh: restart did not restore the snapshot's partition"; cat "$tmp/$1.log"; exit 1; }
 }
@@ -259,16 +259,8 @@ dpid=""
 # server counted exactly the requests sent, the Prometheus exposition
 # still parses as text format 0.0.4 line by line, the SLO and quality
 # series exist, and /debug/quality serves the snapshot ring.
-"$tmp/directoryd" -live -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 \
-    -metrics -reqlog -flush 20ms >"$tmp/directoryd4.log" 2>&1 &
-dpid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$tmp/directoryd4.log" | head -1)
-    [ -n "$addr" ] && break
-    sleep 0.2
-done
-[ -n "$addr" ] || { echo "check.sh: live directoryd (-metrics) did not start"; cat "$tmp/directoryd4.log"; exit 1; }
+start_server directoryd4 dpid addr -live -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 \
+    -metrics -reqlog -flush 20ms
 ingested=0
 classified=0
 browsed=0
@@ -349,16 +341,8 @@ dpid=""
 # bootstrapped and tailing over HTTP, writes ingested via the leader —
 # the follower must converge to the leader's epoch, answer /classify
 # byte-identically, and report replication lag 0 in /metrics.
-"$tmp/directoryd" -live -role leader -in "" -data "$tmp/lead" \
-    -addr 127.0.0.1:0 -k 4 -seed 7 -flush 20ms -metrics >"$tmp/leader.log" 2>&1 &
-dpid=$!
-laddr=""
-for _ in $(seq 1 50); do
-    laddr=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$tmp/leader.log" | head -1)
-    [ -n "$laddr" ] && break
-    sleep 0.2
-done
-[ -n "$laddr" ] || { echo "check.sh: leader did not start"; cat "$tmp/leader.log"; exit 1; }
+start_server leader dpid laddr -live -role leader -in "" -data "$tmp/lead" \
+    -addr 127.0.0.1:0 -k 4 -seed 7 -flush 20ms -metrics
 for name in title author isbn; do
     curl -fsS -X POST "http://$laddr/ingest" -H 'Content-Type: application/json' \
         -d '{"url":"http://repl.example/'"$name"'","html":"<form action=\"/q\"><input type=\"text\" name=\"'"$name"'\"/></form>"}' >/dev/null \
@@ -372,16 +356,8 @@ for _ in $(seq 1 50); do
 done
 [ -n "$lepoch" ] && [ "$lepoch" -ge 1 ] || { echo "check.sh: leader published no epoch"; cat "$tmp/leader.log"; exit 1; }
 
-"$tmp/directoryd" -role follower -leader "http://$laddr" -data "$tmp/foll" \
-    -addr 127.0.0.1:0 -k 4 -seed 7 -repl-poll 50ms -metrics >"$tmp/follower.log" 2>&1 &
-fpid=$!
-faddr=""
-for _ in $(seq 1 50); do
-    faddr=$(sed -n 's|.*on http://\([^/]*\)/.*|\1|p' "$tmp/follower.log" | head -1)
-    [ -n "$faddr" ] && break
-    sleep 0.2
-done
-[ -n "$faddr" ] || { echo "check.sh: follower did not start"; cat "$tmp/follower.log"; exit 1; }
+start_server follower fpid faddr -role follower -leader "http://$laddr" -data "$tmp/foll" \
+    -addr 127.0.0.1:0 -k 4 -seed 7 -repl-poll 50ms -metrics
 
 # The leader keeps writing while the follower tails — replication must
 # close the gap, not just replay the bootstrap prefix.
@@ -439,6 +415,19 @@ grep -q '^replication_lag_epochs 0$' "$tmp/metrics5.txt" || {
     grep '^replication' "$tmp/metrics5.txt"; exit 1; }
 grep -q '^replication_applied_epoch' "$tmp/metrics5.txt" || {
     echo "check.sh: follower /metrics missing replication_applied_epoch"; exit 1; }
+# A drained follower restarts with the same flags from its own snapshot,
+# restoring the partition it served rather than re-clustering, and
+# answers as the leader does. The leader's first batch held at most
+# three pages, fewer than -k, so that partition's K can be below -k.
+stop "$fpid"
+start_server follower2 fpid faddr -role follower -leader "http://$laddr" -data "$tmp/foll" \
+    -addr 127.0.0.1:0 -k 4 -seed 7 -repl-poll 50ms
+grep -q 'partition restored' "$tmp/follower2.log" || {
+    echo "check.sh: restarted follower did not restore its snapshot's partition"; cat "$tmp/follower2.log"; exit 1; }
+curl -fsS -X POST "http://$faddr/classify" -H 'Content-Type: application/json' -d "$classify_doc" >"$tmp/classify_restarted.json"
+cmp -s "$tmp/classify_leader.json" "$tmp/classify_restarted.json" || {
+    echo "check.sh: restarted follower /classify diverged from leader"
+    cat "$tmp/classify_leader.json" "$tmp/classify_restarted.json"; exit 1; }
 stop "$fpid"
 fpid=""
 stop "$dpid"
