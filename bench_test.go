@@ -375,11 +375,12 @@ func BenchmarkIngest(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(streamed))/b.Elapsed().Seconds(), "docs/sec")
 }
 
-// BenchmarkSnapshot times saving and loading a live directory's
-// snapshot, in the version 2 format (gob + gzip of map vectors, the
-// reference) and in version 3, at the paper's 454 pages, serve's 2000
-// and 5000, reporting each file's bytes. The v3 snapshot carries a
-// k = 8 partition, as a live checkpoint does.
+// BenchmarkSnapshot times saving a live directory's snapshot in the
+// version 2 format (gob + gzip of map vectors, the reference) and in
+// version 3, and loading version 3, the one LoadSnapshot reads, at the
+// paper's 454 pages, serve's 2000 and 5000, reporting each file's
+// bytes. The v3 snapshot carries a k = 8 partition, as a live
+// checkpoint does.
 func BenchmarkSnapshot(b *testing.B) {
 	for _, n := range []int{454, 2000, 5000} {
 		docs, _, _, _ := testDocs(b, 4001, n)
@@ -412,6 +413,9 @@ func BenchmarkSnapshot(b *testing.B) {
 				}
 				b.ReportMetric(float64(len(file)), "bytes")
 			})
+			if f.name != "v3" {
+				continue
+			}
 			b.Run(fmt.Sprintf("load/%s/pages=%d", f.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

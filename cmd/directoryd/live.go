@@ -23,7 +23,6 @@ import (
 	"cafc/internal/directory"
 	"cafc/internal/obs"
 	"cafc/internal/repl"
-	"cafc/internal/retry"
 	"cafc/internal/stream"
 	"cafc/internal/webgraph"
 )
@@ -185,31 +184,30 @@ func (ls *liveServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz is the readiness probe: 503 while cold (no epoch), and
 // 503 "degraded" with a JSON reason when the ingest queue is close to
-// saturation or any circuit breaker is open — the two states in which
-// the directory is up but load-shedding.
+// saturation, the state in which the directory is up but
+// load-shedding. Readiness describes the server as it is now: a
+// backlink breaker that opened during genesis guards no later work, so
+// it shows in the "genesis clustering degraded" log line and in
+// degraded_runs_total, not here.
 func (ls *liveServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if ls.live.Epoch() == nil {
 		healthErr(w, "cold", "no epoch published yet")
 		return
 	}
-	if reason, degraded := healthProblem(ls.live.Status(), ls.reg); degraded {
+	if reason, degraded := healthProblem(ls.live.Status()); degraded {
 		healthErr(w, "degraded", reason)
 		return
 	}
 	io.WriteString(w, "ok\n")
 }
 
-// healthProblem decides degradation from the pipeline status and the
-// metrics registry: an ingest queue at >= 90% of capacity (admissions
-// about to bounce with 429s) or any open circuit breaker.
-func healthProblem(s cafc.LiveStatus, reg *obs.Registry) (string, bool) {
+// healthProblem decides degradation from the pipeline status: an ingest
+// queue at >= 90% of capacity (admissions about to bounce with 429s).
+func healthProblem(s cafc.LiveStatus) (string, bool) {
 	if s.QueueCap > 0 {
 		if sat := float64(s.QueueDepth) / float64(s.QueueCap); sat >= 0.9 {
 			return fmt.Sprintf("ingest queue %d%% full (%d/%d)", int(sat*100), s.QueueDepth, s.QueueCap), true
 		}
-	}
-	if name, open := openBreaker(reg); open {
-		return fmt.Sprintf("circuit breaker %s open", name), true
 	}
 	return "", false
 }
@@ -218,26 +216,6 @@ func healthErr(w http.ResponseWriter, status, reason string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	json.NewEncoder(w).Encode(map[string]string{"status": status, "reason": reason})
-}
-
-// openBreaker scans the registry for any breaker_state gauge sitting at
-// Open (2) and reports which component tripped.
-func openBreaker(reg *obs.Registry) (string, bool) {
-	if reg == nil {
-		return "", false
-	}
-	for _, s := range reg.Snapshot() {
-		if s.Name != "breaker_state" || s.Value != float64(retry.Open) {
-			continue
-		}
-		for _, l := range s.Labels {
-			if l.Key == "component" {
-				return l.Value, true
-			}
-		}
-		return "unknown", true
-	}
-	return "", false
 }
 
 // handleQuality serves the online quality monitor's snapshot ring: the

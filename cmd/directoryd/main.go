@@ -30,7 +30,7 @@
 // Endpoints: /  /cluster?id=N  /select?q=...  /search?q=... (JSON)
 // POST /ingest, GET /status, POST /classify, GET /debug/quality
 // (online quality snapshots) and /healthz, which reports 503 while cold
-// or degraded (saturated ingest queue, open circuit breaker).
+// or degraded (saturated ingest queue).
 // With -metrics: /metrics (Prometheus text), /debug/vars (JSON),
 // /debug/trace (recent spans: the startup phases, and one span per
 // request with -reqlog), /debug/pprof/*; -slo-classify-ms and

@@ -210,12 +210,12 @@ func TestLogRecovery(t *testing.T) {
 	logRecovery(st, 250*time.Millisecond)
 	st.Recovery = &cafc.RecoveryInfo{SnapshotVersion: 3, SnapshotBytes: 4096, Partition: "restored"}
 	logRecovery(st, 250*time.Millisecond)
-	st.Recovery = &cafc.RecoveryInfo{SnapshotVersion: 2, SnapshotBytes: 9000, Partition: "re-clustered",
-		Reason: "snapshot v2 carries no partition"}
+	st.Recovery = &cafc.RecoveryInfo{SnapshotVersion: 3, SnapshotBytes: 9000, Partition: "re-clustered",
+		Reason: "snapshot has k=1, configured k=8"}
 	logRecovery(st, 250*time.Millisecond)
 	want := "recovered epoch 7 (120 pages, 7 WAL records) in 0.25s from no snapshot\n" +
 		"recovered epoch 7 (120 pages, 7 WAL records) in 0.25s from snapshot v3 (4096 bytes), partition restored\n" +
-		"recovered epoch 7 (120 pages, 7 WAL records) in 0.25s from snapshot v2 (9000 bytes), partition re-clustered: snapshot v2 carries no partition\n"
+		"recovered epoch 7 (120 pages, 7 WAL records) in 0.25s from snapshot v3 (9000 bytes), partition re-clustered: snapshot has k=1, configured k=8\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("log lines:\n%s\nwant:\n%s", got, want)
 	}

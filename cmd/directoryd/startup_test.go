@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -110,7 +112,8 @@ func TestStartLiveTracesStartup(t *testing.T) {
 // TestStartLiveBacklinkOutage pins -backlink-outage-after on the one
 // startup path: a genesis whose backlink service dies after 10 queries
 // counts a degraded clustering run, and the zero-valued field keeps the
-// service up.
+// service up. Either way the started server is ready: the breaker that
+// opened guarded genesis alone.
 func TestStartLiveBacklinkOutage(t *testing.T) {
 	in := writeDataset(t, 7, 60)
 	degraded := func(p liveParams) int64 {
@@ -120,7 +123,12 @@ func TestStartLiveBacklinkOutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls.live.Close()
+		defer ls.live.Close()
+		rec := httptest.NewRecorder()
+		ls.handleHealthz(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("outageAt %d: /healthz = %d: %s", p.outageAt, rec.Code, rec.Body)
+		}
 		return reg.Counter("degraded_runs_total", "reason", "backlink_breaker_open").Value()
 	}
 	if n := degraded(liveParams{in: in, k: 4, seed: 7, retries: 3, outageAt: 11}); n != 1 {

@@ -63,7 +63,7 @@ func (m *Model) AppendPages(fps []*form.FormPage) {
 	start := len(m.Pages)
 	m.Pages = append(m.Pages, make([]*Page, len(fps))...)
 	m.addRecords(fps, start)
-	m.embed(start, nil)
+	m.embed(start)
 	if m.Metrics != nil {
 		vector.ObserveTFIDFBuild(m.Metrics, 2*len(fps), time.Since(t0))
 	}
@@ -75,19 +75,13 @@ func (m *Model) AppendPages(fps []*form.FormPage) {
 // and then reembedded equals one built in a single Build call over the
 // same documents, dictionaries included. The embed shards across
 // m.Workers as BuildWith's does.
-//
-// Pages without a term record (loaded from a version 1 or 2 snapshot
-// without their documents) keep their stored weights: there is nothing
-// to re-derive them from. Their terms are interned where the page falls
-// in page order, as compiling their stored vectors would intern them.
 func (m *Model) ReembedAll() {
 	var t0 time.Time
 	if m.Metrics != nil {
 		t0 = time.Now()
 	}
-	old := m.compiled
 	m.compiled = newCompiledPages()
-	m.embed(0, old)
+	m.embed(0)
 	if m.Metrics != nil {
 		vector.ObserveCompile(m.Metrics, m.compiled.pcDict, m.compiled.fcDict, time.Since(t0))
 	}

@@ -6,7 +6,6 @@
 package cafc
 
 import (
-	"sort"
 	"time"
 
 	"cafc/internal/cluster"
@@ -46,8 +45,8 @@ func (f Features) String() string {
 // only in the model's packed engine.
 type Page struct {
 	URL string
-	// Rec is the page's term record. It is nil only for pages loaded from
-	// a version 1 or 2 snapshot, which stored vectors alone.
+	// Rec is the page's term record. Every page has one: its packed
+	// vectors, search entry and snapshot bytes all come from it.
 	Rec *Record
 }
 
@@ -82,8 +81,8 @@ type Model struct {
 
 	// compiled is the packed engine every Space method runs on: the
 	// only place a page's vectors are held. Every constructor (BuildWith,
-	// DecodeState) and every mutator (AppendPages, AppendStored,
-	// ReembedAll) leaves it current.
+	// DecodeState) and every mutator (AppendPages, ReembedAll) leaves it
+	// current.
 	compiled *compiledPages
 }
 
@@ -190,7 +189,7 @@ func BuildWith(fps []*form.FormPage, o BuildOpts) *Model {
 	if reg != nil {
 		t0 = time.Now()
 	}
-	m.embed(0, nil)
+	m.embed(0)
 	if reg != nil {
 		vector.ObserveCompile(reg, m.compiled.pcDict, m.compiled.fcDict, time.Since(t0))
 	}
@@ -217,10 +216,7 @@ func (m *Model) addRecords(fps []*form.FormPage, start int) {
 
 // embed packs pages [start, len(m.Pages)) into the engine from their
 // term records under the model's DF tables: the one embed path of
-// BuildWith, AppendPages and ReembedAll. A page without a record (a
-// version 1 or 2 snapshot page) is carried over, weights unchanged, from
-// old, the engine its vectors were packed into; only ReembedAll, which
-// starts a fresh engine, passes one.
+// BuildWith, AppendPages and ReembedAll.
 //
 // Phase 1 (serial) interns, page by page in order, each term that
 // carries weight (IDF ≠ 0) and is new to the dictionary, in the
@@ -231,31 +227,21 @@ func (m *Model) addRecords(fps []*form.FormPage, start int) {
 // into its own slot: every weighted term's (ID, TermStat.Weight),
 // sorted by ID, with the norm summed in ID order — vector.CompileLookup
 // of the page's TF-IDF map bit for bit, for any worker count.
-func (m *Model) embed(start int, old *compiledPages) {
+func (m *Model) embed(start int) {
 	cp := m.compiled
 	n := len(m.Pages)
-	var terms []string
-	for i := start; i < n; i++ {
-		if r := m.Pages[i].Rec; r != nil {
-			internRecord(r.PC, m.PCDF, cp.pcDict)
-			internRecord(r.FC, m.FCDF, cp.fcDict)
-		} else {
-			terms = internCarried(old.pc[i], old.pcDict, cp.pcDict, terms)
-			terms = internCarried(old.fc[i], old.fcDict, cp.fcDict, terms)
-		}
+	for _, p := range m.Pages[start:] {
+		internRecord(p.Rec.PC, m.PCDF, cp.pcDict)
+		internRecord(p.Rec.FC, m.FCDF, cp.fcDict)
 	}
 	cp.pc = append(cp.pc, make([]vector.Compiled, n-start)...)
 	cp.fc = append(cp.fc, make([]vector.Compiled, n-start)...)
 	cluster.ParallelRange(n-start, m.Workers, func(lo, hi, _ int) {
 		var pk vector.Packer
 		for i := start + lo; i < start+hi; i++ {
-			if r := m.Pages[i].Rec; r != nil {
-				cp.pc[i] = packRecord(&pk, r.PC, m.PCDF, cp.pcDict, m.Uniform)
-				cp.fc[i] = packRecord(&pk, r.FC, m.FCDF, cp.fcDict, m.Uniform)
-			} else {
-				cp.pc[i] = carry(&pk, old.pc[i], old.pcDict, cp.pcDict)
-				cp.fc[i] = carry(&pk, old.fc[i], old.fcDict, cp.fcDict)
-			}
+			r := m.Pages[i].Rec
+			cp.pc[i] = packRecord(&pk, r.PC, m.PCDF, cp.pcDict, m.Uniform)
+			cp.fc[i] = packRecord(&pk, r.FC, m.FCDF, cp.fcDict, m.Uniform)
 		}
 	})
 }
@@ -285,45 +271,6 @@ func packRecord(pk *vector.Packer, stats []TermStat, df *vector.DocFreq, d *vect
 		}
 	}
 	return pk.Pack()
-}
-
-// internCarried interns, sorted, the terms of c (packed against from)
-// that d lacks, reusing buf as scratch (returned possibly grown): what
-// compiling c's map form against d would intern.
-func internCarried(c vector.Compiled, from, d *vector.Dict, buf []string) []string {
-	buf = buf[:0]
-	for _, id := range c.IDs {
-		t := from.Term(id)
-		if _, ok := d.ID(t); !ok {
-			buf = append(buf, t)
-		}
-	}
-	sort.Strings(buf)
-	for _, t := range buf {
-		d.Intern(t)
-	}
-	return buf
-}
-
-// carry repacks c from dictionary from against d, weights unchanged.
-func carry(pk *vector.Packer, c vector.Compiled, from, d *vector.Dict) vector.Compiled {
-	for i, id := range c.IDs {
-		if nid, ok := d.ID(from.Term(id)); ok {
-			pk.Add(nid, c.Weights[i])
-		}
-	}
-	return pk.Pack()
-}
-
-// AppendStored appends a page known only by its stored TF-IDF vectors
-// (a version 1 or 2 snapshot page) and packs them, interning their new
-// terms in lexicographic order as vector.Compile does. The page gets no
-// record, and the maps are not kept.
-func (m *Model) AppendStored(url string, pc, fc vector.Vector) {
-	cp := m.compiled
-	m.Pages = append(m.Pages, &Page{URL: url})
-	cp.pc = append(cp.pc, vector.Compile(pc, cp.pcDict))
-	cp.fc = append(cp.fc, vector.Compile(fc, cp.fcDict))
 }
 
 // CompileVectors packs a page's TF-IDF vectors built outside the model

@@ -69,29 +69,4 @@ func TestReembedAllFromRecords(t *testing.T) {
 			t.Fatalf("page %d not current after ReembedAll", i)
 		}
 	}
-
-	// A page without a record keeps its stored weights, its terms
-	// interned where it falls in page order; every other page is
-	// re-embedded.
-	mixed := Build(fps[:40], false)
-	storedPC, storedFC := tfidfMaps(mixed, fps[3])
-	mixed.AppendPages(fps[40:])
-	bare := &Page{URL: mixed.Pages[3].URL}
-	mixed.Pages[3] = bare
-	if current(mixed, fps, 0) {
-		t.Fatal("page 0 current before the re-embed")
-	}
-	mixed.ReembedAll()
-	if mixed.Pages[3] != bare {
-		t.Fatal("ReembedAll replaced a page without a record")
-	}
-	o := newMapOracle()
-	for i, fp := range fps {
-		if i == 3 {
-			o.add(storedPC, storedFC)
-		} else {
-			o.add(tfidfMaps(mixed, fp))
-		}
-	}
-	o.check(t, mixed)
 }

@@ -22,10 +22,10 @@ import (
 //	           sorted; then the dictionary: its length D and D × term
 //	           index, in ID order
 //	FC space   the same
-//	pages      count P, then per page: URL; record flag (byte, 1 = the
-//	           page has a term record); the record when flagged: title,
-//	           then per space (PC, FC) a count and count × (term index
-//	           step, TF, Σloc); the packed PC and FC vectors
+//	pages      count P, then per page: URL; record flag (byte, always
+//	           1: every page has a term record); the record: title, then
+//	           per space (PC, FC) a count and count × (term index step,
+//	           TF, Σloc); the packed PC and FC vectors
 //	partition  flag (byte); when set: K, P × (assignment + 1), K ×
 //	           (packed PC, packed FC) centroids
 //
@@ -67,9 +67,7 @@ func (m *Model) WriteState(w io.Writer, res *cluster.Result) error {
 	nnz, terms := 0, 0
 	for i, p := range m.Pages {
 		nnz += cp.pc[i].Len() + cp.fc[i].Len()
-		if p.Rec != nil {
-			terms += len(p.Rec.PC) + len(p.Rec.FC)
-		}
+		terms += len(p.Rec.PC) + len(p.Rec.FC)
 	}
 	e.s[secMain] = make([]byte, 0, 3*terms+64*len(m.Pages))
 	e.s[secIDs] = make([]byte, 0, 2*nnz)
@@ -91,14 +89,10 @@ func (m *Model) WriteState(w io.Writer, res *cluster.Result) error {
 	e.uvarint(uint64(len(m.Pages)))
 	for i, p := range m.Pages {
 		e.str(p.URL)
-		if r := p.Rec; r == nil {
-			e.byte(0)
-		} else {
-			e.byte(1)
-			e.str(r.Title)
-			pcTerms.record(e, r.PC)
-			fcTerms.record(e, r.FC)
-		}
+		e.byte(1)
+		e.str(p.Rec.Title)
+		pcTerms.record(e, p.Rec.PC)
+		fcTerms.record(e, p.Rec.FC)
 		e.packed(cp.pc[i])
 		e.packed(cp.fc[i])
 	}
@@ -180,13 +174,12 @@ func newTermList(df *vector.DocFreq, dict *vector.Dict, pages []*Page, half func
 		add(dict.Term(uint32(id)))
 	}
 	// A page's terms all enter the DF table when it joins the model, so
-	// this pass adds nothing unless a record came from elsewhere (a
-	// version 1 or 2 snapshot page re-parsed from its HTML).
+	// this pass adds nothing to a model this package built. A decoded
+	// record, though, may name a term of DF 0, and the pass keeps every
+	// model DecodeState accepts encodable.
 	for _, p := range pages {
-		if p.Rec != nil {
-			for _, s := range half(p.Rec) {
-				add(s.Term)
-			}
+		for _, s := range half(p.Rec) {
+			add(s.Term)
 		}
 	}
 	sort.Strings(tl.terms)
@@ -268,15 +261,12 @@ func DecodeState(b []byte) (*Model, *cluster.Result, error) {
 		pc: make([]vector.Compiled, pages), fc: make([]vector.Compiled, pages)}
 	for i := 0; i < pages && d.err == nil; i++ {
 		p := &Page{URL: d.str()}
-		switch d.byte() {
-		case 0:
-		case 1:
-			p.Rec = &Record{Title: d.str()}
-			p.Rec.PC = d.record(pcs.terms)
-			p.Rec.FC = d.record(fcs.terms)
-		default:
-			d.fail("bad record flag")
+		if d.byte() != 1 {
+			d.fail("page without a term record")
 		}
+		p.Rec = &Record{Title: d.str()}
+		p.Rec.PC = d.record(pcs.terms)
+		p.Rec.FC = d.record(fcs.terms)
 		cp.pc[i], cp.fc[i] = d.packed(pcs.dict.Len()), d.packed(fcs.dict.Len())
 		m.Pages[i] = p
 	}

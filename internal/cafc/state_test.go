@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cafc/internal/cluster"
@@ -76,19 +77,17 @@ func stateOf(t *testing.T, m *Model, res *cluster.Result) []byte {
 	return b.Bytes()
 }
 
-// TestStateRoundTrip: a model with pages embedded at once, pages
-// appended since (stale under today's DF tables) and a page without a
-// record, saved with a partition that leaves a page unassigned, decodes
-// equal bit for bit, partition included, and re-encodes to the same
-// bytes. A state without a partition decodes without one.
+// TestStateRoundTrip: a model with pages embedded at once and pages
+// appended since (stale under today's DF tables), saved with a
+// partition that leaves a page unassigned, decodes equal bit for bit,
+// partition included, and re-encodes to the same bytes. A state without
+// a partition decodes without one.
 func TestStateRoundTrip(t *testing.T) {
 	fps := genFormPages(t, 19, 48)
 	for _, uniform := range []bool{false, true} {
 		m := Build(fps[:40], uniform)
 		m.AppendPages(fps[40:])
 		m.C1, m.C2, m.Features = 2, 0.5, PCOnly
-		p := m.Pages[7]
-		m.Pages[7] = &Page{URL: p.URL}
 		res := CAFCC(m, 4, rand.New(rand.NewSource(3)))
 		res.Assign[5] = -1
 
@@ -114,6 +113,27 @@ func TestStateRoundTrip(t *testing.T) {
 		if _, r, err := DecodeState(stateOf(t, m, nil)); err != nil || r != nil {
 			t.Fatalf("uniform=%v: state without a partition decodes with %v (%v)", uniform, r, err)
 		}
+	}
+}
+
+// TestDecodeStateRefusesRecordlessPage: every page has a term record,
+// so a state whose page carries record flag 0 fails to decode.
+func TestDecodeStateRefusesRecordlessPage(t *testing.T) {
+	m := Build(genFormPages(t, 21, 1), false)
+	state := stateOf(t, m, nil)
+	if _, _, err := DecodeState(state); err != nil {
+		t.Fatal(err)
+	}
+	// The URL is stored once, in the main section, and the record flag
+	// is the byte after it.
+	url := []byte(m.Pages[0].URL)
+	at := bytes.Index(state, url) + len(url)
+	if at < len(url) || state[at] != 1 {
+		t.Fatalf("no record flag 1 after the URL (at %d)", at)
+	}
+	state[at] = 0
+	if _, _, err := DecodeState(state); err == nil || !strings.Contains(err.Error(), "term record") {
+		t.Fatalf("a page with record flag 0 decodes: %v", err)
 	}
 }
 

@@ -242,10 +242,6 @@ func (c Config) withDefaults() Config {
 type Crawler struct {
 	Fetcher Fetcher
 	Config  Config
-	// Searchable decides whether a form is a database query interface.
-	// Nil means the rule-based form.IsSearchable; plug in a trained
-	// formclass classifier for the learned filter.
-	Searchable func(*form.Form) bool
 }
 
 // Crawl fetches from the seed URLs outward and returns every successfully
@@ -336,12 +332,8 @@ func (cr *Crawler) CrawlContext(ctx context.Context, seeds []string) []Page {
 					for _, l := range htmlx.ExtractLinks(doc, base) {
 						p.Links = append(p.Links, l.URL)
 					}
-					isSearchable := cr.Searchable
-					if isSearchable == nil {
-						isSearchable = form.IsSearchable
-					}
 					for _, f := range form.ExtractForms(doc) {
-						if isSearchable(f) {
+						if form.IsSearchable(f) {
 							p.Searchable = true
 							break
 						}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"cafc/internal/form"
 	"cafc/internal/webgen"
 )
 
@@ -162,32 +161,5 @@ func TestCrawlDedupes(t *testing.T) {
 			t.Fatalf("duplicate crawl of %s", p.URL)
 		}
 		seen[p.URL] = true
-	}
-}
-
-func TestCrawlWithCustomSearchableFilter(t *testing.T) {
-	c := webgen.Generate(webgen.Config{Seed: 9, FormPages: 24})
-	var seeds []string
-	for _, p := range c.Pages {
-		if p.Kind == webgen.DirectoryPageKind {
-			seeds = append(seeds, p.URL)
-		}
-	}
-	// A filter that rejects everything: no searchable pages may surface.
-	cr := &Crawler{
-		Fetcher:    &CorpusFetcher{Corpus: c},
-		Searchable: func(*form.Form) bool { return false },
-	}
-	pages := cr.Crawl(seeds)
-	if len(pages) == 0 {
-		t.Fatal("crawl returned nothing")
-	}
-	if got := len(FormPages(pages)); got != 0 {
-		t.Errorf("reject-all filter let %d pages through", got)
-	}
-	// Default (nil) filter finds them again.
-	cr.Searchable = nil
-	if got := len(FormPages(cr.Crawl(seeds))); got == 0 {
-		t.Error("default filter found nothing")
 	}
 }

@@ -81,17 +81,6 @@ type Form struct {
 	Node *htmlx.Node
 }
 
-// VisibleFields returns the fields that are not hidden.
-func (f *Form) VisibleFields() []Field {
-	out := make([]Field, 0, len(f.Fields))
-	for _, fld := range f.Fields {
-		if !fld.Hidden() {
-			out = append(out, fld)
-		}
-	}
-	return out
-}
-
 // AttributeCount returns the number of visible, non-button fields — the
 // paper's notion of single- vs multi-attribute forms.
 func (f *Form) AttributeCount() int {

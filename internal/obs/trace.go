@@ -21,9 +21,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
 
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%g", v)} }
-
 // SpanData is the immutable record of a finished span, as delivered to
 // sinks.
 type SpanData struct {

@@ -102,29 +102,3 @@ func TestRandomRecords(t *testing.T) {
 		t.Errorf("oversample -> %d", len(all))
 	}
 }
-
-func TestNonSearchableFormsDeterministic(t *testing.T) {
-	a := NonSearchableForms(3, 20)
-	b := NonSearchableForms(3, 20)
-	if len(a) != 20 {
-		t.Fatalf("got %d forms", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("non-searchable generation not deterministic")
-		}
-	}
-	// All five kinds should appear across 20 samples.
-	kinds := 0
-	for _, marker := range []string{"password", "Subscribe", "Message", "Quote", "Register"} {
-		for _, h := range a {
-			if strings.Contains(h, marker) {
-				kinds++
-				break
-			}
-		}
-	}
-	if kinds < 3 {
-		t.Errorf("only %d form kinds appear", kinds)
-	}
-}

@@ -208,7 +208,6 @@ type Live struct {
 	// and ForceRebuild fail with ErrReadOnly, and the model advances only
 	// through ApplyFrame (driven by a replication tailer).
 	follower bool
-	dir      string
 	// recovery is what RecoverLive or RecoverFollower restored (nil for
 	// NewLive).
 	recovery *RecoveryInfo
@@ -286,9 +285,10 @@ func NewLive(corpus *Corpus, docs []Document, cl *Clustering, cfg LiveConfig, op
 // with no corpus.
 //
 // The snapshot's partition is recomputed (seeded CAFC-C at cfg.K)
-// instead when the snapshot is version 1 or 2, which store none, or when
-// cfg.K differs from the snapshot's K (RecoverFollower recomputes only
-// the former). Status().Recovery says which happened and why.
+// instead when the snapshot stores none (a static Save), or when cfg.K
+// differs from the snapshot's K (RecoverFollower recomputes only the
+// former). Status().Recovery says which happened and why. A version 1
+// or 2 snapshot fails with an error that says to rebuild the directory.
 func RecoverLive(cfg LiveConfig, opts ...Options) (*Live, error) {
 	return recoverLive(cfg, false, opts...)
 }
@@ -322,7 +322,7 @@ type RecoveryInfo struct {
 	// Partition is "restored" when the snapshot's epoch was restored as
 	// it was served, "re-clustered" when its partition was recomputed,
 	// and "" when there was no snapshot corpus to restore. A follower
-	// re-clusters only a version 1 or 2 snapshot, which stores none.
+	// re-clusters only a snapshot that stores none (a static Save).
 	Partition string
 	// Reason says why the partition was re-clustered.
 	Reason string `json:",omitempty"`
@@ -356,7 +356,7 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 			store.Close()
 			return nil, err
 		}
-		ri.SnapshotVersion, ri.SnapshotBytes = snap.version, cr.n
+		ri.SnapshotVersion, ri.SnapshotBytes = snapshotVersion, cr.n
 	} else if serr != stream.ErrNoSnapshot {
 		store.Close()
 		return nil, serr
@@ -385,7 +385,7 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 		res := snap.result
 		switch {
 		case res == nil:
-			ri.Reason = fmt.Sprintf("snapshot v%d carries no partition", snap.version)
+			ri.Reason = "snapshot carries no partition"
 		case res.K != scfg.K && !follower:
 			ri.Reason = fmt.Sprintf("snapshot has k=%d, configured k=%d", res.K, scfg.K)
 		}
@@ -394,7 +394,6 @@ func recoverLive(cfg LiveConfig, follower bool, opts ...Options) (*Live, error) 
 			ri.Partition = "restored"
 		} else {
 			ri.Partition = "re-clustered"
-			withRecords(m, docs, corpus.weights)
 			r := icafc.CAFCC(m, scfg.K, rand.New(rand.NewSource(cfg.Seed+1)))
 			res = &r
 		}
@@ -424,24 +423,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// withRecords gives each page of m that lacks a term record one parsed
-// from its document's HTML (pages of a version 1 or 2 snapshot, or of a
-// corpus loaded from one); docs are the model's documents in page order.
-// It only attaches records: the page's packed vectors stay as they are
-// until a rebuild re-embeds them. It replaces those entries of m.Pages
-// and leaves the old pages, which other models may share, as they are.
-// A page whose HTML is missing or admits no form stays without a record.
-func withRecords(m *icafc.Model, docs []stream.Doc, w form.Weights) {
-	for i, p := range m.Pages {
-		if p.Rec != nil || i >= len(docs) {
-			continue
-		}
-		if fp, err := form.Parse(p.URL, docs[i].HTML, w); err == nil {
-			m.Pages[i] = &icafc.Page{URL: p.URL, Rec: icafc.NewRecord(fp)}
-		}
-	}
 }
 
 // ApplyFrame (followers only) appends one replicated WAL frame to the
@@ -479,9 +460,6 @@ func (l *Live) AppliedEpoch() int64 {
 	return 0
 }
 
-// StateDir returns the durable state directory ("" when memory-only).
-func (l *Live) StateDir() string { return l.dir }
-
 // streamConfig opens the store named by cfg.Dir (if any) and builds the
 // internal stream configuration.
 func (l *Live) streamConfig(corpus *Corpus, cfg LiveConfig) (stream.Config, error) {
@@ -498,7 +476,6 @@ func (l *Live) streamConfig(corpus *Corpus, cfg LiveConfig) (stream.Config, erro
 
 func (l *Live) streamConfigWithStore(corpus *Corpus, cfg LiveConfig, store *stream.Store) stream.Config {
 	l.store = store
-	l.dir = cfg.Dir
 	l.weights = corpus.weights
 	l.retry = corpus.retry
 	l.skip = corpus.skipNonSearchable
@@ -742,11 +719,9 @@ func genesisEpoch(c *Corpus, docs []Document, cl *Clustering) *stream.Epoch {
 		centroids[i] = c.model.Centroid(members[i])
 	}
 	sdocs := matchDocList(c.urls, docs)
-	m := c.model.Clone()
-	withRecords(m, sdocs, c.weights)
 	return &stream.Epoch{
 		Seq:    1,
-		Model:  m,
+		Model:  c.model.Clone(),
 		Result: cluster.Result{Assign: assign, K: k, Centroids: centroids},
 		Docs:   sdocs,
 	}

@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -15,16 +13,13 @@ import (
 	icafc "cafc/internal/cafc"
 	"cafc/internal/cluster"
 	"cafc/internal/form"
-	"cafc/internal/vector"
 )
 
-// Snapshot formats. Save and SaveSnapshot write version 3; LoadSnapshot
-// reads versions 1 to 3 and tells them apart by their leading bytes.
-//
-// Versions 1 and 2 are gzip-compressed gob of corpusSnapshot: the URLs,
-// each page's map vectors and the two DF tables; version 2 adds Epoch
-// and WALOffset. They carry no term records and no partition, so the
-// live directory re-clusters what it recovers from them.
+// Snapshot format. Save and SaveSnapshot write version 3, and
+// LoadSnapshot reads only version 3. Versions 1 and 2 were
+// gzip-compressed gob of each page's map vectors, with no term records
+// and no partition; LoadSnapshot refuses them, and a directory saved in
+// them is rebuilt from its dataset.
 //
 // Version 3 is the 8-byte magic "CAFCsnap", a version byte (3), then one
 // flate stream (level 5, snapshotLevel) holding a 48-byte header — epoch
@@ -39,10 +34,6 @@ import (
 // version, not a placeholder.
 const snapshotVersion = 3
 
-// gobSnapshotVersion is the last gob version (2); LoadSnapshot still
-// reads versions 1 and 2.
-const gobSnapshotVersion = 2
-
 // snapshotLevel is version 3's flate level. It is one below the default
 // because the default is slower than the version 2 encoder it replaces:
 // at 2000 pages (webgen seed 4001, k = 8 partition) level 6 makes a
@@ -51,29 +42,11 @@ const gobSnapshotVersion = 2
 // already be larger than v2.
 const snapshotLevel = 5
 
-// snapshotMagic opens a version 3 snapshot. Gzip streams, and with them
-// versions 1 and 2, start with 0x1f 0x8b instead.
+// snapshotMagic opens a version 3 snapshot.
 var snapshotMagic = []byte("CAFCsnap")
 
-// corpusSnapshot is the gob wire format of versions 1 and 2.
-type corpusSnapshot struct {
-	Version  int
-	URLs     []string
-	Weights  form.Weights
-	Uniform  bool
-	Features int
-	C1, C2   float64
-	FC, PC   []map[string]float64
-	FCDFN    int
-	FCDF     map[string]int
-	PCDFN    int
-	PCDF     map[string]int
-	// Epoch and WALOffset (v2) tie the snapshot to the live-ingestion
-	// stream: the epoch this corpus state was published as, and how
-	// many WAL records it already reflects (recovery replays the rest).
-	Epoch     int64
-	WALOffset int64
-}
+// gzipMagic opens a gzip stream, and with it a version 1 or 2 snapshot.
+var gzipMagic = []byte{0x1f, 0x8b}
 
 // SnapshotInfo is the stream positioning a snapshot carries: the model
 // epoch it was taken at and the number of WAL records it already
@@ -119,21 +92,20 @@ func (c *Corpus) saveSnapshot(w io.Writer, info SnapshotInfo, res *cluster.Resul
 }
 
 // LoadCorpus reads a corpus written by Save or SaveSnapshot (snapshot
-// versions 1 to 3 all load). Run options do not survive serialization —
-// a snapshot records model state, not wiring — so pass Options to
-// re-attach them: Metrics re-enables telemetry and Retry re-enables the
-// resilient backlink policy, exactly as NewCorpus would have wired them.
+// version 3; versions 1 and 2 fail with an error). Run options do not
+// survive serialization — a snapshot records model state, not wiring —
+// so pass Options to re-attach them: Metrics re-enables telemetry and
+// Retry re-enables the resilient backlink policy, exactly as NewCorpus
+// would have wired them.
 func LoadCorpus(r io.Reader, opts ...Options) (*Corpus, error) {
 	c, _, err := LoadSnapshot(r, opts...)
 	return c, err
 }
 
 // LoadSnapshot is LoadCorpus plus the stream positioning the snapshot
-// carries (zero for v1 snapshots and static saves). A version 3
-// snapshot loads its packed vectors, dictionaries and term records as
-// stored: nothing is re-interned or re-embedded, and the model equals
-// the saved one bit for bit. Pages of a version 1 or 2 snapshot carry
-// no term record.
+// carries (zero for static saves). The snapshot's packed vectors,
+// dictionaries and term records load as stored: nothing is re-interned
+// or re-embedded, and the model equals the saved one bit for bit.
 func LoadSnapshot(r io.Reader, opts ...Options) (*Corpus, SnapshotInfo, error) {
 	var o Options
 	if len(opts) > 0 {
@@ -148,21 +120,27 @@ func LoadSnapshot(r io.Reader, opts ...Options) (*Corpus, SnapshotInfo, error) {
 
 // loadedSnapshot is everything a snapshot restores.
 type loadedSnapshot struct {
-	corpus  *Corpus
-	info    SnapshotInfo
-	version int
-	// result is the checkpointed epoch's partition (version 3 snapshots
-	// written by the live directory; nil otherwise).
+	corpus *Corpus
+	info   SnapshotInfo
+	// result is the checkpointed epoch's partition (snapshots written by
+	// the live directory; nil for a static Save).
 	result *cluster.Result
 }
 
 func loadSnapshot(r io.Reader, o Options) (*loadedSnapshot, error) {
 	br := bufio.NewReader(r)
-	// A short read leaves head short, which the checks below handle; the
-	// gob path then reports the reader's error.
-	head, _ := br.Peek(len(snapshotMagic) + 1)
-	if len(head) < len(snapshotMagic) || !bytes.Equal(head[:len(snapshotMagic)], snapshotMagic) {
-		return loadGobSnapshot(br, o)
+	// Input shorter than the header ends in io.EOF, which leaves head
+	// short for the checks below; any other error is the reader's.
+	head, err := br.Peek(len(snapshotMagic) + 1)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("cafc: load: %w", err)
+	}
+	if bytes.HasPrefix(head, gzipMagic) {
+		return nil, errors.New("cafc: snapshot version 1 or 2 (gzip) is no longer read: " +
+			"rebuild the directory from its dataset (-in) on a fresh -data")
+	}
+	if !bytes.HasPrefix(head, snapshotMagic) {
+		return nil, errors.New("cafc: decode: not a snapshot")
 	}
 	if len(head) <= len(snapshotMagic) {
 		return nil, fmt.Errorf("cafc: decode: truncated snapshot header")
@@ -180,54 +158,6 @@ func loadSnapshot(r io.Reader, o Options) (*loadedSnapshot, error) {
 		return nil, fmt.Errorf("cafc: decode: %w", err)
 	}
 	return s, nil
-}
-
-// loadGobSnapshot reads a version 1 or 2 snapshot.
-func loadGobSnapshot(r io.Reader, o Options) (*loadedSnapshot, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("cafc: load: %w", err)
-	}
-	defer zr.Close()
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, fmt.Errorf("cafc: load: %w", err)
-	}
-	// gob sizes a map from its length prefix before it reads an element,
-	// so a corrupt prefix could ask for gigabytes. A first pass decodes
-	// the version alone: gob skips the other fields element by element,
-	// allocating nothing, and fails at the first count the bytes cannot
-	// back.
-	var version struct{ Version int }
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&version); err != nil {
-		return nil, fmt.Errorf("cafc: decode: %w", err)
-	}
-	var snap corpusSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("cafc: decode: %w", err)
-	}
-	if snap.Version < 1 || snap.Version > gobSnapshotVersion {
-		return nil, fmt.Errorf("cafc: snapshot version %d not supported", snap.Version)
-	}
-	if len(snap.FC) != len(snap.URLs) || len(snap.PC) != len(snap.URLs) {
-		return nil, fmt.Errorf("cafc: snapshot corrupt: %d urls, %d/%d vectors",
-			len(snap.URLs), len(snap.FC), len(snap.PC))
-	}
-	m := icafc.BuildWith(nil, icafc.BuildOpts{Uniform: snap.Uniform})
-	m.C1, m.C2, m.Features = snap.C1, snap.C2, Features(snap.Features)
-	m.FCDF = vector.RestoreDocFreq(snap.FCDFN, snap.FCDF)
-	m.PCDF = vector.RestoreDocFreq(snap.PCDFN, snap.PCDF)
-	m.Metrics = o.Metrics
-	// Each stored map is packed once and dropped.
-	for i, u := range snap.URLs {
-		m.AppendStored(u, snap.PC[i], snap.FC[i])
-		snap.PC[i], snap.FC[i] = nil, nil
-	}
-	return &loadedSnapshot{
-		corpus:  newLoadedCorpus(m, snap.URLs, snap.Weights, o),
-		info:    SnapshotInfo{Epoch: snap.Epoch, WALOffset: snap.WALOffset},
-		version: snap.Version,
-	}, nil
 }
 
 func newLoadedCorpus(m *icafc.Model, urls []string, w form.Weights, o Options) *Corpus {
@@ -283,10 +213,5 @@ func decodeSnapshot(b []byte, o Options) (*loadedSnapshot, error) {
 	for i, p := range m.Pages {
 		urls[i] = p.URL
 	}
-	return &loadedSnapshot{
-		corpus:  newLoadedCorpus(m, urls, w, o),
-		info:    info,
-		version: snapshotVersion,
-		result:  res,
-	}, nil
+	return &loadedSnapshot{corpus: newLoadedCorpus(m, urls, w, o), info: info, result: res}, nil
 }

@@ -5,12 +5,14 @@ import (
 	"compress/flate"
 	"compress/gzip"
 	"encoding/gob"
+	"errors"
 	"flag"
 	"io"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	icafc "cafc/internal/cafc"
 	"cafc/internal/cluster"
@@ -109,13 +111,18 @@ func TestLoadCorpusRejectsGarbage(t *testing.T) {
 	if _, err := LoadCorpus(strings.NewReader("not gzip")); err == nil {
 		t.Error("garbage accepted")
 	}
-	// Valid gzip, invalid gob.
+	// Any gzip stream reads as a version 1 or 2 snapshot, which is refused.
 	var buf bytes.Buffer
 	zw := newGzip(&buf)
 	_, _ = zw.Write([]byte("junk"))
 	_ = zw.Close()
 	if _, err := LoadCorpus(&buf); err == nil {
 		t.Error("gzip-wrapped junk accepted")
+	}
+	// A reader error is the load's error, not "not a snapshot".
+	boom := errors.New("boom")
+	if _, err := LoadCorpus(iotest.ErrReader(boom)); !errors.Is(err, boom) {
+		t.Errorf("reader error reported as %v", err)
 	}
 }
 
@@ -124,76 +131,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// TestLoadV1Snapshot pins backward compatibility: a version-1 snapshot
-// written before the live-directory fields existed (checked in under
-// testdata/) must still load, and re-saving it produces a version-2
-// snapshot that round-trips with stream positioning intact.
-func TestLoadV1Snapshot(t *testing.T) {
-	raw, err := os.ReadFile("testdata/snapshot_v1.gob.gz")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Guard the fixture itself: it must really be version 1, or this
-	// test silently stops covering the compatibility path.
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap corpusSnapshot
-	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version != 1 {
-		t.Fatalf("fixture is version %d — regenerate it with v1 code or update the test", snap.Version)
-	}
-
-	loaded, info, err := LoadSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info != (SnapshotInfo{}) {
-		t.Errorf("v1 snapshot carries stream positioning: %+v", info)
-	}
-	if loaded.Len() != 24 {
-		t.Fatalf("fixture corpus has %d pages, want 24", loaded.Len())
-	}
-	// The fixture was built from webgen seed 41; a fresh build over the
-	// same documents must agree on similarities.
-	docs, _, _, _ := testDocs(t, 41, 24)
-	fresh, err := NewCorpus(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < loaded.Len(); i++ {
-		for j := i + 1; j < loaded.Len(); j++ {
-			if d := abs(loaded.Similarity(i, j) - fresh.Similarity(i, j)); d > 1e-12 {
-				t.Fatalf("sim(%d,%d) drifted %v from fresh build", i, j, d)
-			}
-		}
-	}
-
-	// v1 -> v2 round-trip: re-save with stream positioning, reload, and
-	// both the model and the positioning must survive.
-	var buf bytes.Buffer
-	if err := loaded.SaveSnapshot(&buf, SnapshotInfo{Epoch: 7, WALOffset: 3}); err != nil {
-		t.Fatal(err)
-	}
-	re, info2, err := LoadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2 != (SnapshotInfo{Epoch: 7, WALOffset: 3}) {
-		t.Errorf("v2 positioning lost: %+v", info2)
-	}
-	if re.Len() != loaded.Len() {
-		t.Fatalf("v2 reload lost pages: %d vs %d", re.Len(), loaded.Len())
-	}
-	if d := abs(re.Similarity(0, 1) - loaded.Similarity(0, 1)); d > 1e-12 {
-		t.Errorf("v2 reload drifted: %v", d)
-	}
 }
 
 // TestLoadCorpusRejectsFutureVersion keeps the version gate honest.
@@ -279,9 +216,28 @@ func tfidfMaps(t testing.TB, c *Corpus, docs []Document) (pcs, fcs []vector.Vect
 	return pcs, fcs
 }
 
+// corpusSnapshot is the gob wire format of snapshot versions 1 and 2.
+type corpusSnapshot struct {
+	Version  int
+	URLs     []string
+	Weights  form.Weights
+	Uniform  bool
+	Features int
+	C1, C2   float64
+	FC, PC   []map[string]float64
+	FCDFN    int
+	FCDF     map[string]int
+	PCDFN    int
+	PCDF     map[string]int
+	// Epoch and WALOffset (v2) are the snapshot's stream positioning.
+	Epoch     int64
+	WALOffset int64
+}
+
 // saveV2 is the version 2 encoder as it shipped: gzip-compressed gob of
 // corpusSnapshot, with pcs and fcs (tfidfMaps) as the page vectors. It
-// is the reference for v3's size and speed.
+// is the reference for v3's size and speed, and the input LoadSnapshot
+// refuses.
 func saveV2(c *Corpus, pcs, fcs []vector.Vector, w io.Writer, info SnapshotInfo) error {
 	snap := corpusSnapshot{
 		Version: 2, URLs: c.urls, Weights: c.weights, Uniform: c.model.Uniform,
@@ -301,158 +257,41 @@ func saveV2(c *Corpus, pcs, fcs []vector.Vector, w io.Writer, info SnapshotInfo)
 	return zw.Close()
 }
 
-// TestLoadV2Snapshot pins the version 2 fixture (written by the v2
-// encoder from webgen seed 43): it loads, and a state dir holding it
-// with its genesis WAL record recovers through the re-cluster path,
-// with term records parsed from the WAL's HTML so search and rebuilds
-// work.
-func TestLoadV2Snapshot(t *testing.T) {
-	raw, snap := readV2Fixture(t)
-	if snap.Version != 2 {
-		t.Fatalf("fixture is version %d, want 2", snap.Version)
-	}
-	loaded, info, err := LoadSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info != (SnapshotInfo{Epoch: 1, WALOffset: 1}) {
-		t.Errorf("v2 positioning = %+v, want epoch 1 at WAL offset 1", info)
-	}
-	docs, _, _, _ := testDocs(t, 43, 24)
-	fresh, err := NewCorpus(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != fresh.Len() {
-		t.Fatalf("fixture has %d pages, fresh build %d", loaded.Len(), fresh.Len())
-	}
-	for i := 0; i < loaded.Len(); i++ {
-		for j := i + 1; j < loaded.Len(); j++ {
-			if d := abs(loaded.Similarity(i, j) - fresh.Similarity(i, j)); d > 1e-12 {
-				t.Fatalf("sim(%d,%d) drifted %v from fresh build", i, j, d)
-			}
-		}
-	}
-
-	r := recoverFromFixture(t, raw, docs)
-	defer r.Close()
-	ri := r.Status().Recovery
-	if ri == nil || ri.SnapshotVersion != 2 || ri.SnapshotBytes != int64(len(raw)) ||
-		ri.Partition != "re-clustered" || ri.Reason != "snapshot v2 carries no partition" {
-		t.Fatalf("Status().Recovery = %+v", ri)
-	}
-	e := r.Epoch()
-	if e.Epoch != 1 || e.Corpus.Len() != 24 || len(e.Clustering.Clusters) != 4 {
-		t.Fatalf("recovered epoch %d with %d pages, k=%d", e.Epoch, e.Corpus.Len(), len(e.Clustering.Clusters))
-	}
-	for i, p := range e.Corpus.model.Pages {
-		if p.Rec == nil {
-			t.Fatalf("v2 recovery left page %d without a term record", i)
-		}
-	}
-	res, _, err := r.Search(strings.Fields(e.SearchIndex.Members()[0][0].Title)[0], 5)
-	if err != nil || len(res.Hits) == 0 {
-		t.Fatalf("search over the recovered index found nothing (%v)", err)
-	}
-	// A rebuild re-embeds every page from its record: the result equals
-	// a fresh build's vectors.
-	if err := r.ForceRebuild(); err != nil {
-		t.Fatal(err)
-	}
-	waitLive(t, "rebuild", func() bool { return r.Epoch().Rebuilt })
-	rebuilt := r.Epoch().Corpus.model
-	pcs, fcs := tfidfMaps(t, fresh, docs)
-	for i := 0; i < rebuilt.Len(); i++ {
-		if !reflect.DeepEqual(rebuilt.Point(i), rebuilt.CompileVectors(pcs[i], fcs[i])) {
-			t.Fatalf("page %d: rebuilt vectors differ from a fresh build's", i)
-		}
-	}
-}
-
-// readV2Fixture reads the version 2 fixture's bytes and decodes them as
-// the v2 encoder wrote them.
-func readV2Fixture(t *testing.T) ([]byte, corpusSnapshot) {
+// v2Snapshot is a version 2 snapshot of a 24-page corpus (webgen seed
+// 43), with the documents it was built from.
+func v2Snapshot(t testing.TB) ([]Document, []byte) {
 	t.Helper()
-	raw, err := os.ReadFile("testdata/snapshot_v2.gob.gz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap corpusSnapshot
-	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	return raw, snap
-}
-
-// TestRecoverV1Snapshot: a state dir holding only the version 1 fixture
-// recovers through the re-cluster path.
-func TestRecoverV1Snapshot(t *testing.T) {
-	raw, err := os.ReadFile("testdata/snapshot_v1.gob.gz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := recoverFromFixture(t, raw, nil)
-	defer r.Close()
-	ri := r.Status().Recovery
-	if ri == nil || ri.SnapshotVersion != 1 || ri.Partition != "re-clustered" ||
-		ri.Reason != "snapshot v1 carries no partition" {
-		t.Fatalf("Status().Recovery = %+v", ri)
-	}
-	if e := r.Epoch(); e.Epoch != 1 || e.Corpus.Len() != 24 || len(e.Clustering.Clusters) != 4 {
-		t.Fatalf("recovered epoch %d with %d pages, k=%d", e.Epoch, e.Corpus.Len(), len(e.Clustering.Clusters))
-	}
-}
-
-// TestReembedV2CorpusAfterAppend: a corpus loaded from the version 2
-// fixture and grown by Append re-embeds the pages it appended, which
-// carry term records, and keeps the stored vectors of the fixture's
-// pages, which carry none.
-func TestReembedV2CorpusAfterAppend(t *testing.T) {
-	raw, stored := readV2Fixture(t)
-	loaded, err := LoadCorpus(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
 	docs, _, _, _ := testDocs(t, 43, 24)
-	extra, _, _, _ := testDocs(t, 44, 16)
-	// Two batches, so the first is embedded under DF tables the second
-	// changes.
-	for _, batch := range [][]Document{extra[:8], extra[8:]} {
-		if _, err := loaded.Append(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all := append(append([]Document(nil), docs...), extra...)
-	fresh, err := NewCorpus(all)
+	c, err := NewCorpus(docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != fresh.Len() || loaded.Len() != len(docs)+len(extra) {
-		t.Fatalf("%d pages loaded and appended, %d built", loaded.Len(), fresh.Len())
+	pcs, fcs := tfidfMaps(t, c, docs)
+	var buf bytes.Buffer
+	if err := saveV2(c, pcs, fcs, &buf, SnapshotInfo{Epoch: 1, WALOffset: 1}); err != nil {
+		t.Fatal(err)
 	}
-	m := loaded.model
-	pcs, fcs := tfidfMaps(t, fresh, all)
-	before := append([]*icafc.Page(nil), m.Pages...)
-	if reflect.DeepEqual(m.Point(len(docs)), m.CompileVectors(pcs[len(docs)], fcs[len(docs)])) {
-		t.Fatal("the first appended page is current before the re-embed; the fixture needs a stale one")
-	}
-	loaded.Reembed()
-	for i, p := range m.Pages {
-		want := m.CompileVectors(pcs[i], fcs[i])
-		if i < len(docs) {
-			if p != before[i] {
-				t.Fatalf("fixture page %d, which has no record, was replaced", i)
-			}
-			want = m.CompileVectors(stored.PC[i], stored.FC[i])
-		}
-		if !reflect.DeepEqual(m.Point(i), want) {
-			t.Fatalf("page %d: vectors after Reembed differ from the fixture's or a fresh build's", i)
+	return docs, buf.Bytes()
+}
+
+// TestV2SnapshotRefused: a version 2 snapshot, read directly or from a
+// state dir, fails with an error that names the version and says to
+// rebuild. Version 1 shares its gzip header, and so its refusal.
+func TestV2SnapshotRefused(t *testing.T) {
+	docs, v2 := v2Snapshot(t)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "version 1 or 2") || !strings.Contains(err.Error(), "rebuild") {
+			t.Errorf("%s of a v2 snapshot: error %v, want one naming the version and saying to rebuild", what, err)
 		}
 	}
+	_, err := LoadCorpus(bytes.NewReader(v2))
+	refused("LoadCorpus", err)
+	r, err := recoverFromFixture(t, v2, docs)
+	if err == nil {
+		r.Close()
+	}
+	refused("RecoverLive", err)
 }
 
 // TestSnapshotV3RoundTrip: a corpus saved with a partition loads back
@@ -490,8 +329,8 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.info != info || s.version != snapshotVersion || !reflect.DeepEqual(s.corpus.urls, c.urls) || s.corpus.weights != c.weights {
-		t.Fatalf("header differs: %+v v%d", s.info, s.version)
+	if s.info != info || !reflect.DeepEqual(s.corpus.urls, c.urls) || s.corpus.weights != c.weights {
+		t.Fatalf("header differs: %+v", s.info)
 	}
 	if !bytes.Equal(stateOf(t, s.corpus.model, s.result), stateOf(t, m, &res)) {
 		t.Fatal("loaded model state or partition differs from the saved one")
@@ -637,20 +476,26 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 		}
 	}
-	for _, name := range []string{"testdata/snapshot_v1.gob.gz", "testdata/snapshot_v2.gob.gz", goldenSnapshotPath} {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		seed(b)
-		if name == goldenSnapshotPath {
-			payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(b[9:])))
-			if err != nil {
-				f.Fatal(err)
-			}
-			seed(payload)
-		}
+	golden, err := os.ReadFile(goldenSnapshotPath)
+	if err != nil {
+		f.Fatal(err)
 	}
+	payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(golden[9:])))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The refused formats: a version 2 snapshot, gzip-wrapped junk and
+	// bare gzip magic, alone and before the version 3 magic.
+	_, v2 := v2Snapshot(f)
+	var junk bytes.Buffer
+	zw := newGzip(&junk)
+	_, _ = zw.Write([]byte("junk"))
+	_ = zw.Close()
+	for _, b := range [][]byte{golden, payload, v2, junk.Bytes()} {
+		seed(b)
+	}
+	f.Add(gzipMagic)
+	f.Add(append(append([]byte(nil), gzipMagic...), snapshotMagic...))
 	check := func(t *testing.T, s *loadedSnapshot) {
 		c := s.corpus
 		if c.Len() != c.model.Len() {

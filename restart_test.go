@@ -388,10 +388,10 @@ func TestRecoverReclustersOnKChange(t *testing.T) {
 	}
 }
 
-// recoverFromFixture builds a state dir from a checked-in snapshot and,
-// when docs is non-nil, the genesis WAL record it covers, then recovers
-// it.
-func recoverFromFixture(t *testing.T, fixture []byte, docs []Document) *Live {
+// recoverFromFixture builds a state dir from the snapshot bytes fixture
+// and, when docs is non-nil, the genesis WAL record it covers, then
+// recovers it, returning RecoverLive's result.
+func recoverFromFixture(t *testing.T, fixture []byte, docs []Document) (*Live, error) {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := stream.Open(dir)
@@ -409,9 +409,5 @@ func recoverFromFixture(t *testing.T, fixture []byte, docs []Document) *Live {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := RecoverLive(LiveConfig{K: 4, Seed: 5, FlushInterval: time.Hour, Dir: dir, Search: &SearchConfig{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return RecoverLive(LiveConfig{K: 4, Seed: 5, FlushInterval: time.Hour, Dir: dir, Search: &SearchConfig{}})
 }

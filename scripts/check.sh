@@ -43,7 +43,9 @@ go test -race ./internal/stream ./internal/repl ./internal/cluster ./internal/ca
 # same epoch as a record-by-record follower) and the cached drift
 # rescan against the full rescan it replaces (TestDriftRescan*).
 go test -race -count 2 -run 'TestParallelIngest|TestGroupCommit|TestReplayPublishesOnce|TestDriftRescan' ./internal/stream
-go test -run xxx -bench 'BenchmarkCosine|BenchmarkKMeansEngines|BenchmarkKMeans454' \
+# BenchmarkSnapshot runs here too: its v2 save leg is the size and
+# save-time reference for snapshot v3, and a leg that breaks fails now.
+go test -run xxx -bench 'BenchmarkCosine|BenchmarkKMeansEngines|BenchmarkKMeans454|BenchmarkSnapshot' \
     -benchtime=1x ./internal/vector ./internal/cluster .
 # Allocation-regression smoke: the serve-path benches run once so a
 # change that reintroduces per-call allocations fails alongside the
@@ -155,11 +157,13 @@ stop "$dpid"
 dpid=""
 
 # Degradation smoke: kill the backlink service mid-startup (after 10
-# queries) and assert directoryd still comes up serving clusters, with
-# the degradation visible in /metrics.
+# queries) and assert directoryd still comes up serving clusters and
+# ready, with the degradation visible in /metrics and the log. The
+# backlink breaker guards genesis alone, so it must not hold /healthz.
 start_server directoryd2 dpid addr -in "$tmp/corpus.json.gz" -addr 127.0.0.1:0 -k 4 -metrics \
     -backlink-outage-after 10
 curl -fsS "http://$addr/" >/dev/null || { echo "check.sh: directoryd root not serving after outage"; exit 1; }
+curl -fsS "http://$addr/healthz" >/dev/null || { echo "check.sh: /healthz not ready after a genesis backlink outage"; exit 1; }
 curl -fsS "http://$addr/metrics" >"$tmp/metrics2.txt"
 grep -q '^degraded_runs_total' "$tmp/metrics2.txt" || {
     echo "check.sh: /metrics missing degraded_runs_total after backlink outage"; exit 1; }

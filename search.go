@@ -59,19 +59,12 @@ type searcher struct {
 // snapshot carrying the epoch's cluster assignment. Each page is indexed
 // from its term record, one weighted term per distinct PC term carrying
 // its summed LOC, which the index sums to the bits the page's
-// occurrence list gives; nothing is parsed. A page without a record (a
-// version 1 or 2 snapshot page with no WAL-backed HTML) is indexed with
-// no title and no terms.
+// occurrence list gives; nothing is parsed.
 func (s *searcher) sync(e *stream.Epoch) {
 	for i := s.b.Len(); i < len(e.Model.Pages); i++ {
 		p := e.Model.Pages[i]
-		title := ""
-		s.terms = s.terms[:0]
-		if p.Rec != nil {
-			title = p.Rec.Title
-			s.terms = p.Rec.AppendPC(s.terms)
-		}
-		s.b.Add(p.URL, title, s.terms)
+		s.terms = p.Rec.AppendPC(s.terms[:0])
+		s.b.Add(p.URL, p.Rec.Title, s.terms)
 	}
 	s.snap.Store(s.b.Freeze(e.Seq, e.Result.Assign, e.Result.K, s.opts))
 }
