@@ -17,9 +17,11 @@ package cafc
 //	BenchmarkScaling   — extension (corpus-size sweep)
 //	BenchmarkPipeline  — end-to-end corpus build + CAFC-CH
 //	BenchmarkSnapshot  — snapshot save/load, v2 vs v3, with file bytes
+//	BenchmarkRecoverLive — an in-process restart of a 2000-page directory
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -426,5 +428,45 @@ func BenchmarkSnapshot(b *testing.B) {
 				b.ReportMetric(float64(len(file)), "bytes")
 			})
 		}
+	}
+}
+
+// BenchmarkRecoverLive times one restart in process: each op recovers a
+// drained directory in the shape of perfbench's serve workload (2000
+// webgen form pages, a CAFC-CH genesis at k = 8, search and the quality
+// monitor configured as directoryd configures them) from its state dir,
+// then closes it. Close writes nothing, so every op restores the same
+// state: the snapshot read, the WAL read, and the one publish that
+// rebuilds the search index and fills the quality cache. A
+// -cpuprofile of the benchmark splits a restart into those phases.
+func BenchmarkRecoverLive(b *testing.B) {
+	docs, labels, rootOf, backlinks := testDocs(b, 4001, 2000)
+	opts := Options{SkipNonSearchable: true}
+	corpus, err := NewCorpus(docs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := corpus.ClusterCH(8, backlinks, rootOf, 1)
+	genesis := LiveConfig{K: 8, Seed: 1, Dir: b.TempDir(),
+		Quality: &QualityConfig{Seed: 1, Labels: labels}, Search: &SearchConfig{}}
+	l, err := NewLive(corpus, docs, cl, genesis, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Gold labels come with directoryd's genesis dataset, so a restart
+	// recovers without them.
+	cfg := genesis
+	cfg.Quality = &QualityConfig{Seed: 1}
+	if err := l.Drain(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := RecoverLive(cfg, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
 	}
 }

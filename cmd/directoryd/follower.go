@@ -44,6 +44,8 @@ type followerServer struct {
 	lag     func() int64
 	applied func() int64
 	client  *http.Client
+	// reg counts the writes forwarded to the leader (nil-safe).
+	reg *obs.Registry
 }
 
 // handleIngest forwards the write to the leader — a follower never
@@ -145,7 +147,7 @@ func runFollower(ctx context.Context, p followerParams, reg *obs.Registry, ring 
 		return fmt.Errorf("bootstrap: %w", err)
 	}
 
-	ls := &liveServer{reg: reg}
+	ls := &liveServer{}
 	ls.sloClassify = obs.NewSLO(reg, "classify", p.sloClassifyMS/1000, 0)
 	opts := cafc.Options{SkipNonSearchable: true, Metrics: reg}
 	cfg := cafc.LiveConfig{
@@ -181,6 +183,7 @@ func runFollower(ctx context.Context, p followerParams, reg *obs.Registry, ring 
 		lag:        tailer.Lag,
 		applied:    live.AppliedEpoch,
 		client:     &http.Client{Timeout: 30 * time.Second},
+		reg:        reg,
 	}
 	tailCtx, stopTail := context.WithCancel(context.Background())
 	defer stopTail()

@@ -62,7 +62,6 @@ type liveParams struct {
 type liveServer struct {
 	live *cafc.Live
 	ui   atomic.Pointer[http.Handler]
-	reg  *obs.Registry
 
 	sloClassify *obs.SLO
 	sloIngest   *obs.SLO
@@ -320,7 +319,7 @@ func startLive(ctx context.Context, p liveParams, reg *obs.Registry) (*liveServe
 	}
 	ctx, span := obs.Start(ctx, "startup")
 	defer span.End()
-	ls := &liveServer{reg: reg}
+	ls := &liveServer{}
 	ls.sloClassify = obs.NewSLO(reg, "classify", p.sloClassifyMS/1000, 0)
 	ls.sloIngest = obs.NewSLO(reg, "ingest", p.sloIngestMS/1000, 0)
 	opts := cafc.Options{SkipNonSearchable: true, Metrics: reg}

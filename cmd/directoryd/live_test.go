@@ -496,48 +496,33 @@ func TestHealthProblem(t *testing.T) {
 	}
 }
 
-// TestHealthzDegradedHTTP drives the full handler: an open
-// breaker_state gauge in the registry leaves a healthy live server at
-// 200, because readiness reports only what the server does now and no
-// breaker guards a request it serves.
+// TestHealthzDegradedHTTP drives the full handler of a server wired as
+// runLive wires one: startLive with the registry the -metrics routes
+// serve, and a genesis whose backlink breaker opens. breaker_state in
+// that registry reads open, yet /healthz answers 200, because readiness
+// reports only what the server does now and no breaker guards a request
+// it serves.
 func TestHealthzDegradedHTTP(t *testing.T) {
-	c := webgen.Generate(webgen.Config{Seed: 41, FormPages: 12})
-	var docs []cafc.Document
-	for _, u := range c.FormPages {
-		docs = append(docs, cafc.Document{URL: u, HTML: c.ByURL[u].HTML})
-	}
-	corpus, err := cafc.NewCorpus(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := corpus.ClusterC(3, 1)
 	reg := obs.NewRegistry()
-	ls := &liveServer{reg: reg}
-	live, err := cafc.NewLive(corpus, docs, cl, cafc.LiveConfig{K: 3, Seed: 1, OnPublish: ls.onPublish, Search: &cafc.SearchConfig{}})
+	p := liveParams{in: writeDataset(t, 7, 60), k: 4, seed: 7, retries: 3, outageAt: 11}
+	ls, err := startLive(context.Background(), p, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls.live = live
-	defer live.Close()
+	defer ls.live.Close()
+	if v := reg.Gauge("breaker_state", "component", "backlink").Value(); v != float64(retry.Open) {
+		t.Fatalf("breaker_state{component=backlink} = %v after the genesis outage, want open (%v)", v, float64(retry.Open))
+	}
 	ts := httptest.NewServer(ls.mux())
 	defer ts.Close()
-
-	get := func() (int, string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(body)
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, body := get(); code != http.StatusOK {
-		t.Fatalf("healthy /healthz = %d: %s", code, body)
-	}
-	reg.Gauge("breaker_state", "component", "backlink").Set(float64(retry.Open))
-	if code, body := get(); code != http.StatusOK {
-		t.Fatalf("/healthz with an open breaker_state gauge = %d: %s", code, body)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz with the backlink breaker open = %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -39,8 +39,10 @@ type Config struct {
 	// SampleSize caps the reservoir (0 = 256). The monitor caches the
 	// SampleSize² similarities between reservoir slots (8·SampleSize²
 	// bytes, 512 KiB at the default), so an epoch costs O(SampleSize ×
-	// replaced slots) similarities; the first epoch and every Rebuilt
-	// one fill the whole cache.
+	// replaced slots) similarities. The first epoch and every Rebuilt
+	// one fill the whole cache, through the space's centroid index when
+	// it has one (one indexed pass per slot instead of SampleSize
+	// merge joins).
 	SampleSize int
 	// Seed drives the reservoir RNG. Fixed seed + same page sequence =
 	// same sample, independent of batch boundaries.
@@ -360,6 +362,14 @@ func (m *Monitor) Sample() []int {
 // is d(2r−d) Sim calls. The dirty slots shard across CPUs, and every
 // cell has exactly one writer: a dirty row belongs to its slot, and a
 // clean row's cell in column a belongs to slot a.
+//
+// When every slot is dirty (the first observation, and every Rebuilt
+// epoch) and the space is a cluster.CentroidScorer, the reservoir's own
+// points are indexed as the "centroids" and row a is one Sims pass for
+// page res[a]: by the scorer contract, entry j equals Sim(P_a, P_j) bit
+// for bit, so the cache holds the same cells for a fraction of the
+// merge joins. A partial fill keeps the per-cell path, whose cost an
+// index per epoch would not repay.
 func (m *Monitor) fill(s cluster.Space) {
 	r, stride := len(m.res), m.cfg.SampleSize
 	var dirty []int
@@ -378,19 +388,32 @@ func (m *Monitor) fill(s cluster.Space) {
 	for i, page := range m.res {
 		pts[i] = s.Point(page)
 	}
-	cluster.ParallelRange(len(dirty), 0, func(lo, hi, _ int) {
-		for _, a := range dirty[lo:hi] {
-			row := m.sims[a*stride : a*stride+r]
-			for j := range row {
-				row[j] = s.Sim(pts[a], pts[j])
+	var ix cluster.CentroidIndex
+	if cs, ok := s.(cluster.CentroidScorer); ok && len(dirty) == r {
+		ix = cs.NewCentroidIndex(pts)
+	}
+	if ix != nil {
+		cluster.ParallelRange(r, 0, func(lo, hi, _ int) {
+			scratch := make([]float64, ix.ScratchLen())
+			for a := lo; a < hi; a++ {
+				ix.Sims(m.sims[a*stride:a*stride+r], scratch, m.res[a])
 			}
-			for i := 0; i < r; i++ {
-				if !m.dirty[i] {
-					m.sims[i*stride+a] = s.Sim(pts[i], pts[a])
+		})
+	} else {
+		cluster.ParallelRange(len(dirty), 0, func(lo, hi, _ int) {
+			for _, a := range dirty[lo:hi] {
+				row := m.sims[a*stride : a*stride+r]
+				for j := range row {
+					row[j] = s.Sim(pts[a], pts[j])
+				}
+				for i := 0; i < r; i++ {
+					if !m.dirty[i] {
+						m.sims[i*stride+a] = s.Sim(pts[i], pts[a])
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 	for _, a := range dirty {
 		m.dirty[a] = false
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	icafc "cafc/internal/cafc"
 	"cafc/internal/cluster"
 	"cafc/internal/obs"
 	"cafc/internal/stream"
@@ -435,5 +436,95 @@ func TestCacheKeepsSimArgumentOrder(t *testing.T) {
 		if want := sampledSilhouette(e.Space, e.Assign, e.K, m.res); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%d pages: cached silhouette %v, uncached %v", n, got, want)
 		}
+	}
+}
+
+// simCounter counts Sim calls on a real model. Embedding the model
+// keeps its centroid index, so the monitor's indexed fill stays
+// reachable, and the index scores without calling Sim.
+type simCounter struct {
+	*icafc.Model
+	calls *atomic.Int64
+}
+
+func (s simCounter) Sim(a, b cluster.Point) float64 {
+	s.calls.Add(1)
+	return s.Model.Sim(a, b)
+}
+
+// TestIndexedFillMatchesPerCell drives the real model through a manual
+// stream pipeline: a founding batch larger than the reservoir (a full
+// first fill), one page per record (partial fills), and a forced
+// rebuild (a full fill again). A full fill scores rows through the
+// model's centroid index and calls Sim not once; a partial fill calls
+// it d(2r−d) times for d replaced slots of r. After every epoch each
+// cached cell equals Sim(Point(res[i]), Point(res[j])) bit for bit,
+// under FC+PC, FCOnly and PCOnly.
+func TestIndexedFillMatchesPerCell(t *testing.T) {
+	const sampleSize, genesis, pages = 32, 48, 64
+	c := webgen.Generate(webgen.Config{Seed: 2007, FormPages: pages})
+	docs := make([]stream.Doc, 0, len(c.FormPages))
+	for _, u := range c.FormPages {
+		docs = append(docs, stream.Doc{URL: u, HTML: c.ByURL[u].HTML})
+	}
+	feats := []icafc.Features{icafc.FCPC, icafc.FCOnly, icafc.PCOnly}
+	monitors := make([]*Monitor, len(feats))
+	for i := range monitors {
+		monitors[i] = New(Config{SampleSize: sampleSize, Seed: 9})
+	}
+	var full, partial int
+	l := stream.NewManual(stream.Config{K: 4, Seed: 3, OnPublish: func(e *stream.Epoch) {
+		for fi, f := range feats {
+			m, space := monitors[fi], e.Model.WithFeatures(f)
+			before := append([]int(nil), m.res...)
+			var calls atomic.Int64
+			m.ObserveEpoch(Epoch{Seq: e.Seq, Space: simCounter{space, &calls}, Assign: e.Result.Assign,
+				K: e.Result.K, Rebuilt: e.Rebuilt}, t0)
+			r, d := len(m.res), 0
+			for slot, page := range m.res {
+				if slot >= len(before) || before[slot] != page {
+					d++
+				}
+			}
+			want := int64(d * (2*r - d))
+			if d == r || e.Rebuilt {
+				want = 0
+				full++
+			} else if d > 0 {
+				partial++
+			}
+			if got := calls.Load(); got != want {
+				t.Errorf("%v epoch %d (rebuilt %v, %d of %d slots new): %d Sim calls, want %d",
+					f, e.Seq, e.Rebuilt, d, r, got, want)
+			}
+			for i := 0; i < r; i++ {
+				for j := 0; j < r; j++ {
+					got := m.sims[i*sampleSize+j]
+					want := space.Sim(space.Point(m.res[i]), space.Point(m.res[j]))
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v epoch %d (rebuilt %v): cell (%d, %d) = %v, Sim = %v",
+							f, e.Seq, e.Rebuilt, i, j, got, want)
+					}
+				}
+			}
+		}
+	}}, nil, nil)
+	apply := func(rec stream.Record) {
+		t.Helper()
+		if err := l.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(stream.Record{Docs: docs[:genesis]})
+	for _, d := range docs[genesis : genesis+8] {
+		apply(stream.Record{Docs: []stream.Doc{d}})
+	}
+	apply(stream.Record{})
+	for _, d := range docs[genesis+8:] {
+		apply(stream.Record{Docs: []stream.Doc{d}})
+	}
+	if full < 2*len(feats) || partial < len(feats) {
+		t.Fatalf("%d full and %d partial fills over %d feature sets: the sequence does not exercise both paths",
+			full, partial, len(feats))
 	}
 }

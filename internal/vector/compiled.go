@@ -1,7 +1,6 @@
 package vector
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -94,6 +93,9 @@ func CompileLookup(v Vector, d *Dict) Compiled {
 // is not safe for concurrent use.
 type Packer struct {
 	pairs []idWeight
+	// keys is Pack's sort scratch: each pair's ID and position as one
+	// integer, which sorts without a comparison call per step.
+	keys []uint64
 }
 
 // idWeight pairs a dictionary ID with its weight during compilation.
@@ -110,13 +112,16 @@ func (p *Packer) Add(id uint32, w float64) {
 // Pack returns the added pairs as a Compiled vector in exact-size
 // slices (empty, not nil, when nothing was added) and resets the Packer.
 func (p *Packer) Pack() Compiled {
-	slices.SortFunc(p.pairs, func(a, b idWeight) int {
-		return cmp.Compare(a.id, b.id)
-	})
+	p.keys = slices.Grow(p.keys[:0], len(p.pairs))
+	for i, pr := range p.pairs {
+		p.keys = append(p.keys, uint64(pr.id)<<32|uint64(i))
+	}
+	slices.Sort(p.keys)
 	ids := make([]uint32, len(p.pairs))
 	weights := make([]float64, len(p.pairs))
 	var sum float64
-	for i, pr := range p.pairs {
+	for i, k := range p.keys {
+		pr := p.pairs[uint32(k)]
 		ids[i] = pr.id
 		weights[i] = pr.w
 		sum += pr.w * pr.w
@@ -133,7 +138,20 @@ func (p *Packer) Pack() Compiled {
 // frequency. Like Compile, new terms are interned in lexicographic
 // order and the norm is accumulated in ascending-ID order, so the
 // result is bit-deterministic for a fixed input and dictionary state.
+//
+// Input that is already one entry per term in strictly ascending term
+// order (a term record's summed form) skips the aggregation map and the
+// string sort: its terms intern in the order given, which is the
+// lexicographic order the general path interns in, and each weight is
+// 0 + Loc, the general path's sum, so both paths give the same bits.
 func CompileWeighted(ts []WeightedTerm, d *Dict) Compiled {
+	if termsAscending(ts) {
+		p := Packer{pairs: make([]idWeight, 0, len(ts))}
+		for _, t := range ts {
+			p.Add(d.Intern(t.Term), 0+t.Loc)
+		}
+		return p.Pack()
+	}
 	agg := make(map[string]float64, len(ts))
 	for _, t := range ts {
 		agg[t.Term] += t.Loc
@@ -156,6 +174,17 @@ func CompileWeighted(ts []WeightedTerm, d *Dict) Compiled {
 		sum += w * w
 	}
 	return Compiled{IDs: ids, Weights: weights, Norm: math.Sqrt(sum)}
+}
+
+// termsAscending reports whether ts holds each term once, in strictly
+// ascending order.
+func termsAscending(ts []WeightedTerm) bool {
+	for i := 1; i < len(ts); i++ {
+		if ts[i-1].Term >= ts[i].Term {
+			return false
+		}
+	}
+	return true
 }
 
 // TopTerms returns the n highest-weighted terms of c, resolving term

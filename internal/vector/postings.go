@@ -1,5 +1,7 @@
 package vector
 
+import "sync"
+
 // Postings is a term → (vector, weight) inverted index over a small
 // fixed set of compiled vectors — in practice the k cluster centroids of
 // one clustering iteration or one classifier epoch. Scoring a sparse
@@ -17,8 +19,9 @@ package vector
 // and the classifier swap in the index without changing a single
 // assignment.
 //
-// A Postings is immutable after construction and safe for concurrent
-// readers; callers own the dst slices.
+// A Postings is immutable after construction, apart from the dense rows
+// its first DotOne builds, and safe for concurrent readers; callers own
+// the dst slices.
 type Postings struct {
 	// starts is the CSR row index: entries for term id live in
 	// [starts[id], starts[id+1]).
@@ -30,12 +33,16 @@ type Postings struct {
 	// norms holds each indexed vector's precompiled norm, so callers can
 	// turn dot products into cosines without re-walking the vectors.
 	norms []float64
-	// dense is the same data as a row-major K() × nrows weight matrix,
-	// so a single vector can be scored in O(query nnz) — the bound-pruned
-	// kernels evaluate individual centroids, and a merge join against a
-	// dense centroid would cost O(centroid nnz) instead.
-	dense []float64
-	nrows int
+	// dense is the same data as a row-major K() × (len(starts)-1) weight
+	// matrix, so a single vector can be scored in O(query nnz) — the
+	// bound-pruned kernels evaluate individual centroids, and a merge
+	// join against a dense centroid would cost O(centroid nnz) instead.
+	// Only DotOne reads it, so the first DotOne builds it from the CSR
+	// rows (under denseOnce, which makes that first call safe from any
+	// number of readers), and an index scored only through Dots never
+	// allocates it.
+	dense     []float64
+	denseOnce sync.Once
 }
 
 // NewPostings indexes the given compiled vectors.
@@ -62,20 +69,31 @@ func NewPostings(vs []Compiled) *Postings {
 		p.starts[i] += p.starts[i-1]
 	}
 	cursor := append([]uint32(nil), p.starts[:maxID+1]...)
-	p.nrows = maxID + 1
-	p.dense = make([]float64, len(vs)*p.nrows)
 	for c, v := range vs {
 		p.norms[c] = v.Norm
-		row := p.dense[c*p.nrows : (c+1)*p.nrows]
 		for j, id := range v.IDs {
 			at := cursor[id]
 			cursor[id]++
 			p.cent[at] = uint32(c)
 			p.weight[at] = v.Weights[j]
-			row[id] = v.Weights[j]
 		}
 	}
 	return p
+}
+
+// denseRows returns the dense K() × nrows weight matrix, building it
+// from the CSR rows on first use.
+func (p *Postings) denseRows() []float64 {
+	p.denseOnce.Do(func() {
+		nrows := len(p.starts) - 1
+		p.dense = make([]float64, p.K()*nrows)
+		for id := 0; id < nrows; id++ {
+			for e := p.starts[id]; e < p.starts[id+1]; e++ {
+				p.dense[int(p.cent[e])*nrows+id] = p.weight[e]
+			}
+		}
+	})
+	return p.dense
 }
 
 // K returns the number of indexed vectors.
@@ -111,10 +129,11 @@ func (p *Postings) Dots(q Compiled, dst []float64) {
 // starts at +0 and ±0 additions keep it there until the first shared
 // term lands, exactly as in the merge join).
 func (p *Postings) DotOne(q Compiled, c int) float64 {
-	row := p.dense[c*p.nrows : (c+1)*p.nrows]
+	nrows := len(p.starts) - 1
+	row := p.denseRows()[c*nrows : (c+1)*nrows]
 	var sum float64
 	for j, id := range q.IDs {
-		if int(id) >= p.nrows {
+		if int(id) >= nrows {
 			break
 		}
 		sum += q.Weights[j] * row[id]

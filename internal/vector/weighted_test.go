@@ -2,6 +2,7 @@ package vector
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -56,5 +57,65 @@ func TestCompileWeightedSortedIDs(t *testing.T) {
 	v := c.Decompile(d)
 	if v["zebra"] != 5 || v["apple"] != 2 {
 		t.Fatalf("weights misaligned after ID sort: %v", v)
+	}
+}
+
+// TestCompileWeightedAscendingMatchesOccurrences: input that is one
+// entry per term in strictly ascending order (a term record's summed
+// form) takes the path without the aggregation map, and must give the
+// bits the occurrence path gives for the same sums, interning the same
+// new terms at the same IDs, into a dictionary that already holds some
+// of them. A -0 sum comes out +0 on both paths (the map path adds it to
+// 0), and sorted input that repeats a term must aggregate it.
+func TestCompileWeightedAscendingMatchesOccurrences(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	summed := []WeightedTerm{
+		{Term: "author", Loc: 0.25}, {Term: "book", Loc: 3}, {Term: "isbn", Loc: 1.5},
+		{Term: "price", Loc: 0.1 + 0.2}, {Term: "title", Loc: 7}, {Term: "void", Loc: negZero},
+	}
+	inputs := map[string][]WeightedTerm{
+		// The same sums as unsorted occurrences, with one term split in two.
+		"unsorted occurrences": {
+			{Term: "title", Loc: 7}, {Term: "book", Loc: 1}, {Term: "price", Loc: 0.1 + 0.2},
+			{Term: "void", Loc: negZero}, {Term: "author", Loc: 0.25}, {Term: "book", Loc: 2},
+			{Term: "isbn", Loc: 1.5},
+		},
+		// Sorted, but not one entry per term.
+		"sorted occurrences": {
+			{Term: "author", Loc: 0.25}, {Term: "book", Loc: 1}, {Term: "book", Loc: 2},
+			{Term: "isbn", Loc: 1.5}, {Term: "price", Loc: 0.1 + 0.2}, {Term: "title", Loc: 7},
+			{Term: "void", Loc: negZero},
+		},
+	}
+	newDict := func() *Dict {
+		d := NewDict()
+		d.Intern("title")
+		d.Intern("zebra")
+		d.Intern("book")
+		return d
+	}
+	da := newDict()
+	a := CompileWeighted(summed, da)
+	for name, occ := range inputs {
+		db := newDict()
+		b := CompileWeighted(occ, db)
+		if !slices.Equal(a.IDs, b.IDs) || len(a.Weights) != len(b.Weights) ||
+			math.Float64bits(a.Norm) != math.Float64bits(b.Norm) {
+			t.Fatalf("summed input compiles to %+v, %s to %+v", a, name, b)
+		}
+		for i := range a.Weights {
+			if math.Float64bits(a.Weights[i]) != math.Float64bits(b.Weights[i]) {
+				t.Fatalf("term %q: summed weight %v, %s weight %v (bits differ)",
+					da.Term(a.IDs[i]), a.Weights[i], name, b.Weights[i])
+			}
+		}
+		if da.Len() != db.Len() {
+			t.Fatalf("dictionaries hold %d and %d terms (%s)", da.Len(), db.Len(), name)
+		}
+		for id := 0; id < da.Len(); id++ {
+			if da.Term(uint32(id)) != db.Term(uint32(id)) {
+				t.Fatalf("ID %d interns %q and %q (%s)", id, da.Term(uint32(id)), db.Term(uint32(id)), name)
+			}
+		}
 	}
 }

@@ -88,7 +88,9 @@ type QualityConfig struct {
 	// over (0 = 256). The monitor caches the similarities between
 	// sampled pages (8·SampleSize² bytes, 512 KiB at the default), so an
 	// epoch costs O(SampleSize × replaced samples) similarities; the
-	// first epoch and every rebuild recompute all SampleSize² of them.
+	// first epoch and every rebuild refill the whole cache, scoring each
+	// sampled page against the sample in one pass of the model's
+	// centroid index.
 	SampleSize int
 	// Seed drives the reservoir RNG (0 = LiveConfig.Seed), making the
 	// sample deterministic for a fixed corpus growth.

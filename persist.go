@@ -149,11 +149,13 @@ func loadSnapshot(r io.Reader, o Options) (*loadedSnapshot, error) {
 		return nil, fmt.Errorf("cafc: snapshot version %d not supported", v)
 	}
 	_, _ = br.Discard(len(head)) // peeked, so buffered: cannot fail
-	payload, err := io.ReadAll(flate.NewReader(br))
-	if err != nil {
+	// bytes.Buffer doubles as it reads, where io.ReadAll grows by about
+	// a quarter at a time and copies the payload many more times.
+	var payload bytes.Buffer
+	if _, err := payload.ReadFrom(flate.NewReader(br)); err != nil {
 		return nil, fmt.Errorf("cafc: load: %w", err)
 	}
-	s, err := decodeSnapshot(payload, o)
+	s, err := decodeSnapshot(payload.Bytes(), o)
 	if err != nil {
 		return nil, fmt.Errorf("cafc: decode: %w", err)
 	}

@@ -23,18 +23,22 @@ go test -race ./...
 (cd perfbench && go vet ./... && go test ./...)
 # The clustering kernels shard by GOMAXPROCS when Workers is 0, and so
 # does the quality monitor's similarity-cache fill: run both at one and
-# two CPUs so a hard-coded shard count fails on any host.
+# two CPUs so a hard-coded shard count fails on any host. The postings
+# index builds its dense rows on the first DotOne, which parallel
+# callers may reach together: run it under both too.
 go test -race -cpu 1,2 ./internal/cluster
 go test -race -cpu 1,2 ./internal/obs/quality
+go test -race -cpu 1,2 ./internal/vector
 # Focused race pass over the live-pipeline packages: the streaming
 # ingester, the clustering kernels it drives (including the sharded
 # bound-pruned assignment path), the incremental model
 # with its parallel build, the replication layer (server, tailer and the
 # chaos suite), the search index (concurrent readers over the frozen
-# snapshot while the builder appends), and the observability layer
-# (histograms under concurrent Observe, the quality monitor).
+# snapshot while the builder appends), the postings index (its dense
+# rows built on first use), and the observability layer (histograms
+# under concurrent Observe, the quality monitor).
 go test -race ./internal/stream ./internal/repl ./internal/cluster ./internal/cafc \
-    ./internal/search ./internal/obs ./internal/obs/quality ./cmd/directoryd
+    ./internal/search ./internal/vector ./internal/obs ./internal/obs/quality ./cmd/directoryd
 # Ingest fan-out under the race detector, run twice: the sharded
 # parse/embed pipeline at worker counts 1, 2, 3 and 8
 # (TestParallelIngestBitIdenticalEpochs sweeps them internally), the
@@ -45,7 +49,9 @@ go test -race ./internal/stream ./internal/repl ./internal/cluster ./internal/ca
 go test -race -count 2 -run 'TestParallelIngest|TestGroupCommit|TestReplayPublishesOnce|TestDriftRescan' ./internal/stream
 # BenchmarkSnapshot runs here too: its v2 save leg is the size and
 # save-time reference for snapshot v3, and a leg that breaks fails now.
-go test -run xxx -bench 'BenchmarkCosine|BenchmarkKMeansEngines|BenchmarkKMeans454|BenchmarkSnapshot' \
+# So does BenchmarkRecoverLive, the in-process restart the ROADMAP's
+# restart profile is taken from.
+go test -run xxx -bench 'BenchmarkCosine|BenchmarkKMeansEngines|BenchmarkKMeans454|BenchmarkSnapshot|BenchmarkRecoverLive' \
     -benchtime=1x ./internal/vector ./internal/cluster .
 # Allocation-regression smoke: the serve-path benches run once so a
 # change that reintroduces per-call allocations fails alongside the
